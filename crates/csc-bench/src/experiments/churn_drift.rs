@@ -127,8 +127,6 @@ pub struct PhaseStats {
     pub growth_percent: u32,
     /// Bottom-ranked vertices appended since the baseline.
     pub churned: usize,
-    /// Dead fraction of the measured arena.
-    pub dead_fraction: f64,
     /// Median single-query latency, microseconds.
     pub q_p50_us: f64,
     /// p99 single-query latency, microseconds.
@@ -193,7 +191,6 @@ fn measure_phase(
         out_entries: h.out_entries,
         growth_percent: h.growth_percent,
         churned: h.churned_vertices,
-        dead_fraction: h.dead_fraction,
         q_p50_us,
         q_p99_us,
     }
@@ -332,7 +329,7 @@ pub fn record_json(phases: &[PhaseStats], window: &RejuvenationWindow, graph: &s
             f,
             "{{\"group\":\"churn_drift\",\"graph\":\"{graph}\",\"threads\":{threads},\"phase\":\"{}\",\
              \"entries\":{},\"in_entries\":{},\"out_entries\":{},\"growth_percent\":{},\
-             \"churned_vertices\":{},\"dead_fraction\":{:.4},\
+             \"churned_vertices\":{},\
              \"query_p50_us\":{:.2},\"query_p99_us\":{:.2}}}",
             p.phase,
             p.entries,
@@ -340,7 +337,6 @@ pub fn record_json(phases: &[PhaseStats], window: &RejuvenationWindow, graph: &s
             p.out_entries,
             p.growth_percent,
             p.churned,
-            p.dead_fraction,
             p.q_p50_us,
             p.q_p99_us,
         );
@@ -369,7 +365,6 @@ pub fn run(ctx: &ExpContext) -> String {
         "in/out",
         "growth",
         "churned",
-        "dead",
         "query p50",
         "query p99",
     ]);
@@ -380,7 +375,6 @@ pub fn run(ctx: &ExpContext) -> String {
             format!("{}/{}", p.in_entries, p.out_entries),
             format!("{}%", p.growth_percent),
             p.churned.to_string(),
-            format!("{:.1}%", p.dead_fraction * 100.0),
             format!("{:.2} us", p.q_p50_us),
             format!("{:.2} us", p.q_p99_us),
         ]);
@@ -477,14 +471,6 @@ mod tests {
             "rejuvenated entries {} vs scratch {} (ratio {ratio:.3})",
             rejuvenated.entries,
             scratch.entries
-        );
-        // The swap itself publishes a full freeze; tail updates applied
-        // *after* it refreeze incrementally, so some dead space may have
-        // re-accumulated — but always under the publication bound.
-        assert!(
-            rejuvenated.dead_fraction <= 0.5,
-            "{}",
-            rejuvenated.dead_fraction
         );
         assert!(window.replayed > 0, "tail landed in the replay queue");
         assert!(window.reader_queries > 0, "reader ran through the window");

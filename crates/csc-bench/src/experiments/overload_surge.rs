@@ -127,7 +127,7 @@ fn surge_pass(
     per_thread: usize,
 ) -> SurgeStats {
     // Publication is amortized so the surge writer isn't rate-limited by
-    // per-write snapshot refreezes — the point is to flood the admission
+    // per-write snapshot publications — the point is to flood the admission
     // queue, not the publisher.
     let mut config = CscConfig::default().with_snapshot_every(256);
     // Watermarks sit well below the queue depth a rebuild survives:

@@ -30,8 +30,8 @@
 //!    ([`UpdateReport::carriers_scanned`] stays zero on this path).
 //! 4. **One snapshot publication** — a
 //!    [`ConcurrentIndex::apply_batch`](crate::ConcurrentIndex::apply_batch)
-//!    caller republishes at most once per batch, and incrementally (see
-//!    [`FrozenLabels::refreeze_spans`](csc_labeling::FrozenLabels::refreeze_spans)).
+//!    caller republishes at most once per batch, by gathering the query
+//!    halves (see [`SnapshotIndex::freeze`](crate::SnapshotIndex::freeze)).
 //!
 //! ## Semantics
 //!

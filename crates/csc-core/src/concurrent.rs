@@ -10,16 +10,16 @@
 //! [`ConcurrentIndex`] instead splits the two roles:
 //!
 //! * **Writers** hold the index lock, apply `insert_edge` / `remove_edge`,
-//!   and periodically *publish* an immutable [`SnapshotIndex`] (an
-//!   `O(total entries)` freeze into a flat arena, amortized by
+//!   and periodically *publish* an immutable [`SnapshotIndex`] (a gather
+//!   of the query halves into a flat arena, amortized by
 //!   [`CscConfig::snapshot_every`](crate::CscConfig::snapshot_every)).
 //! * **Readers** grab the current `Arc<SnapshotIndex>` — the only shared
 //!   state they touch is the publication slot, whose critical section is a
 //!   single `Arc` clone / pointer swap, never held across label
-//!   maintenance — and then query it entirely lock-free. A reader that
-//!   keeps its `Arc` issues any number of queries against one consistent
-//!   state with **zero** synchronization, no matter what the writer is
-//!   doing.
+//!   maintenance or a label intersection — and then query it entirely
+//!   lock-free. A reader that keeps its `Arc` issues any number of queries
+//!   against one consistent state with **zero** synchronization, no
+//!   matter what the writer is doing.
 //!
 //! Snapshot reads may lag the writer by up to `snapshot_every - 1`
 //! updates; use [`query_fresh`](ConcurrentIndex::query_fresh) or
@@ -27,12 +27,12 @@
 //! semantics are required (those take the index read lock like the old
 //! design did).
 //!
-//! Publication is *incremental*: the label store tracks which lists each
-//! update dirtied, and a republish patches exactly those spans into a
-//! copy of the previously published arena
-//! ([`SnapshotIndex::refreeze_from`]) instead of re-gathering the whole
-//! store. Batches ([`apply_batch`](ConcurrentIndex::apply_batch)) publish
-//! at most once per call, no matter how many updates they carry.
+//! Every publication is a full gather of `Lout(v_o)` and `Lin(v_i)` from
+//! the live label store ([`SnapshotIndex::freeze`]); it reads nothing of
+//! the snapshot it replaces and mutates nothing, so the write path keeps
+//! no publication bookkeeping. Batches
+//! ([`apply_batch`](ConcurrentIndex::apply_batch)) publish at most once
+//! per call, no matter how many updates they carry.
 //!
 //! The writer side is a thin facade over the
 //! [`MaintenanceEngine`] state machine, which
@@ -112,8 +112,6 @@ impl ConcurrentIndex {
     pub fn new(index: CscIndex) -> Self {
         let refresh_every = index.config().snapshot_every;
         let mut engine = MaintenanceEngine::new(index);
-        // Baseline the dirty tracking: the initial snapshot covers
-        // everything, so only post-construction mutations matter.
         let snapshot = Arc::new(engine.publish_from(None));
         ConcurrentIndex {
             inner: RwLock::new(engine),
@@ -185,11 +183,12 @@ impl ConcurrentIndex {
         result
     }
 
-    /// The currently published snapshot. Cheap (`Arc` clone); hold on to
-    /// the result to issue many queries against one consistent state with
-    /// no further synchronization.
+    /// The currently published snapshot. Cheap (`Arc` clone, the only
+    /// work done under the publication lock); hold on to the result to
+    /// issue many queries against one consistent state with no further
+    /// synchronization.
     pub fn snapshot(&self) -> Arc<SnapshotIndex> {
-        self.snapshot.read().clone()
+        Arc::clone(&self.snapshot.read())
     }
 
     /// `SCCnt(v)` on the published snapshot — the lock-free serving path.
@@ -197,7 +196,7 @@ impl ConcurrentIndex {
     /// May lag the writer by up to `snapshot_every - 1` updates; see
     /// [`query_fresh`](Self::query_fresh) for read-your-writes.
     pub fn query(&self, v: VertexId) -> Option<CycleCount> {
-        self.snapshot.read().query(v)
+        self.snapshot().query(v)
     }
 
     /// `SCCnt(v)` against the live index under its read lock. Exact, but
@@ -216,7 +215,7 @@ impl ConcurrentIndex {
         v: VertexId,
         deadline: crate::Deadline,
     ) -> Result<Option<CycleCount>, CscError> {
-        self.snapshot.read().query_deadline(v, deadline)
+        self.snapshot().query_deadline(v, deadline)
     }
 
     /// Evaluates `f` over the live index under its read lock (for batch
@@ -310,10 +309,7 @@ impl ConcurrentIndex {
     /// Freezes and publishes a snapshot of the current state now,
     /// regardless of the refresh policy.
     pub fn refresh(&self) {
-        // The write lock: publication drains the label store's dirty-slot
-        // tracking (the incremental-refreeze bookkeeping).
-        let mut guard = self.inner.write();
-        self.publish(&mut guard);
+        self.publish(&mut self.inner.write());
     }
 
     /// Publication statistics: how many snapshots have been published and
@@ -322,19 +318,15 @@ impl ConcurrentIndex {
         SnapshotStats {
             published: self.published.load(Ordering::Relaxed),
             pending_updates: self.pending.load(Ordering::Relaxed),
-            snapshot_updates_applied: self.snapshot.read().updates_applied(),
+            snapshot_updates_applied: self.snapshot().updates_applied(),
         }
     }
 
     /// The live drift report: label growth vs. the post-build baseline,
-    /// the served arena's dead space, churned (bottom-ranked) vertices,
-    /// and the maintenance-plane state (replay queue depth, rebuild flag).
+    /// churned (bottom-ranked) vertices, and the maintenance-plane state
+    /// (replay queue depth, rebuild flag).
     pub fn health(&self) -> IndexHealth {
-        let health = self.inner.read().health();
-        IndexHealth {
-            dead_fraction: self.snapshot.read().labels().dead_fraction(),
-            ..health
-        }
+        self.inner.read().health()
     }
 
     /// Maintenance-plane lifetime counters (rejuvenations started /
@@ -396,11 +388,8 @@ impl ConcurrentIndex {
         }
         // Cooperative maintenance first: a policy trip starts the rebuild,
         // an in-flight one advances a bounded chunk on the writer's dime.
-        // The dead-space threshold is judged against the *served* arena —
-        // the engine's own health cannot see it.
         if !engine.is_rebuilding() && engine.policy().auto {
-            let dead = self.snapshot.read().labels().dead_fraction();
-            let _ = engine.maybe_begin(dead);
+            let _ = engine.maybe_begin();
         }
         if engine.is_rebuilding() {
             match engine.step(crate::maintain::DEFAULT_STEP_RANKS) {
@@ -425,21 +414,16 @@ impl ConcurrentIndex {
         }
     }
 
-    /// Publishes through the engine's freeze policy: incremental (patch
-    /// only the dirtied label spans into a copy of the served arena) in
-    /// the steady state, a full couple-ordered freeze right after a
-    /// rejuvenation swap. The invariant making incremental publication
-    /// sound — published snapshot == label store at the last drain of the
-    /// dirty set — holds because *every* publication (constructor, auto,
-    /// manual, post-swap) drains here under the write lock.
+    /// Gathers the live index's query halves into a new snapshot and
+    /// swaps it into the publication slot. The gather runs outside the
+    /// slot's lock; readers wait only for the pointer swap.
     fn publish(&self, engine: &mut MaintenanceEngine) {
         if engine.is_degraded() {
             // Freezing a poisoned index would publish torn labels; the
             // last good snapshot keeps serving instead.
             return;
         }
-        let prev = self.snapshot.read().clone();
-        let fresh = Arc::new(engine.publish_from(Some(&prev)));
+        let fresh = Arc::new(engine.publish_from(None));
         *self.snapshot.write() = fresh;
         self.pending.store(0, Ordering::Relaxed);
         self.published.fetch_add(1, Ordering::Relaxed);
@@ -760,43 +744,6 @@ mod tests {
         assert_eq!(h.rejuvenations, 1);
         assert_eq!(h.churned_vertices, 0, "appended vertices re-ranked");
         assert_eq!(shared.snapshot().query(VertexId(0)).unwrap().length, 8);
-    }
-
-    #[test]
-    fn dead_space_policy_triggers_from_the_write_path() {
-        // The dead-space threshold lives on the *served arena*: flapping
-        // one edge relocates label lists on every incremental publish,
-        // piling up dead space until the auto policy must start a rebuild
-        // (reason DeadSpace) straight from the write path.
-        let g = csc_graph::generators::gnm(24, 70, 13);
-        let config = CscConfig::default()
-            .with_snapshot_every(1)
-            .with_rebuild_policy(
-                crate::RebuildPolicy::manual_only()
-                    .with_dead_percent(5)
-                    .with_auto(true),
-            );
-        let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
-        let (a, b) = g.edge_vec()[5];
-        let mut started = false;
-        for k in 0..400 {
-            if k % 2 == 0 {
-                shared.remove_edge(VertexId(a), VertexId(b)).unwrap();
-            } else {
-                shared.insert_edge(VertexId(a), VertexId(b)).unwrap();
-            }
-            if shared.maintenance_stats().rejuvenations_started > 0 {
-                started = true;
-                break;
-            }
-        }
-        assert!(started, "dead space must eventually trip the policy");
-        assert_eq!(
-            shared.maintenance_stats().last_reason,
-            Some(crate::RebuildReason::DeadSpace)
-        );
-        while shared.maintain(usize::MAX).unwrap() != crate::MaintenanceStatus::Serving {}
-        assert_eq!(shared.maintenance_stats().rejuvenations_completed, 1);
     }
 
     #[test]

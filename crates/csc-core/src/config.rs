@@ -474,8 +474,6 @@ impl CscConfig {
     /// * `rebuild.max_growth_percent` must be `0` (disabled) or `> 100`: a
     ///   threshold at or below 100% would re-trigger immediately after the
     ///   rebuild that satisfied it.
-    /// * `rebuild.max_dead_percent` must be `<= 100` — it is a fraction of
-    ///   the arena.
     ///
     /// # Errors
     ///
@@ -556,9 +554,6 @@ mod tests {
             .with_rebuild_policy(RebuildPolicy::default().with_growth_percent(100));
         let err = c.validate().unwrap_err();
         assert!(err.to_string().contains("max_growth_percent"), "{err}");
-        let c = CscConfig::default()
-            .with_rebuild_policy(RebuildPolicy::default().with_dead_percent(150));
-        assert!(c.validate().is_err());
         // Disabled thresholds stay valid.
         let c = CscConfig::default().with_rebuild_policy(RebuildPolicy::manual_only());
         assert!(c.validate().is_ok());

@@ -29,7 +29,10 @@
 //!   classifies every vertex without walking the post-deletion tail).
 //!   Their stale entries are deleted by the paper's superset rule —
 //!   evaluated against the union of the window's edges, so each carrier
-//!   list is scanned once per hub instead of once per edge — and the
+//!   list is scanned once per hub instead of once per edge, and widened
+//!   from "stored distance equals a crossing-path length" to "is at least
+//!   one", which also drops the dominated entries an earlier insertion
+//!   left behind (see below) — and the
 //!   couple-skipping pruned BFS of the static construction re-runs from
 //!   them **once per hub for the whole window** in descending rank order
 //!   in upsert mode: restoring over-deleted entries, refreshing changed
@@ -60,10 +63,23 @@
 //! subtract reliably; the hub is then demoted to the re-label regime for
 //! that side, preserving exactness.
 //!
+//! **Dominated leftovers.** Under the default redundancy strategy an
+//! insertion that shortens a hub's distance to `x` may leave the old,
+//! longer entry at `x` in place (the insertion pass is pruned before it
+//! reaches `x`). Such an entry is harmless only while a shorter route
+//! exists: if a later deletion removes that route and lengthens the
+//! hub's distances, an entry still counting a path through the deleted
+//! edge would undercut the true distance and report a phantom cycle. The
+//! widened superset rule removes every such entry of a re-label hub — the
+//! path it counts is at least as long as some crossing path — and the
+//! re-label sweep restores whatever is still canonical. Count-repair hubs
+//! keep their leftovers: their distances do not change, so the leftovers
+//! stay dominated.
+//!
 //! Multi-edge windows are equivalent to the one-at-a-time path at the
-//! query level (canonical entries are identical; only harmless dominated
-//! leftovers may differ — label distances never under-estimate either
-//! way), and single-edge windows take the identical code path from both
+//! query level (canonical entries are identical; the dominated leftovers
+//! may differ, but label distances never under-estimate either way), and
+//! single-edge windows take the identical code path from both
 //! [`remove_edge`](CscIndex::remove_edge) and
 //! [`apply_batch`](CscIndex::apply_batch), so the scalar/batch
 //! label-identity contract is preserved by construction. The
@@ -396,8 +412,14 @@ impl CscIndex {
 
         // ---- Phase B: superset deletion for re-label hubs. ----------------
         // One carrier scan per (hub, side) for the whole window: an entry is
-        // stale iff its stored distance equals a crossing-path length
+        // stale iff its stored distance is at least a crossing-path length
         // through *some* deleted edge, evaluated with pre-window distances.
+        // Equality is the paper's rule. A longer stored distance marks a
+        // dominated leftover of an earlier insertion (redundancy strategy):
+        // it was never canonical, but the path it counts may have crossed
+        // the deleted edge, and once the hub's distances grow it would
+        // undercut the true distance. Phase C restores every canonical
+        // entry either way.
         let mut conds: Vec<(u32, &DistMap)> = Vec::new();
         let mut stale: Vec<u32> = Vec::new();
         for (&rank, &(fwd, bwd)) in &relabel {
@@ -433,7 +455,7 @@ impl CscIndex {
                     };
                     conds.iter().any(|&(dh1, m)| {
                         let dx = m.get(x);
-                        dx != UNREACHED && dh1 + dx == e.dist()
+                        dx != UNREACHED && dh1 + dx <= e.dist()
                     })
                 };
                 match inverted {
@@ -571,9 +593,7 @@ impl CscIndex {
     /// The overwhelming-window fallback: rebuilds every label from the
     /// current (post-removal) graph under the existing rank order — the
     /// exact static construction, so the result is correct by definition —
-    /// and swaps it in, refreshing the inverted index and marking every
-    /// label slot dirty so the next incremental re-freeze re-gathers the
-    /// whole store (the served snapshot describes the retired layout).
+    /// and swaps it in, refreshing the inverted index.
     fn rebuild_after_window(&mut self, report: &mut UpdateReport) -> Result<(), LabelingError> {
         let csr = Csr::from_digraph(self.gb.graph());
         let mut counters = TraversalCounters::default();
@@ -584,7 +604,6 @@ impl CscIndex {
         report.rebuild_fallbacks += 1;
         let keep_inverted = self.inverted.is_some() || self.config.maintain_inverted;
         self.labels = labels;
-        self.labels.mark_all_dirty();
         self.inverted = keep_inverted.then(|| InvertedIndex::from_labels(&self.labels));
         Ok(())
     }
@@ -774,6 +793,55 @@ mod tests {
         assert!(phases > std::time::Duration::ZERO);
         assert!(phases <= report.duration, "phases nest inside the update");
         assert_eq!(report.carriers_scanned, 0, "default config is indexed");
+    }
+
+    #[test]
+    fn dominated_leftover_does_not_outlive_its_cycle() {
+        // Inserting (23, 11) leaves a dominated entry behind under the
+        // redundancy strategy; removing (12, 22) then lengthens the hub's
+        // distances, and the leftover must not survive as a phantom
+        // 7-cycle through 11 and 12.
+        let edges = [
+            (1, 23),
+            (8, 25),
+            (11, 12),
+            (12, 22),
+            (17, 21),
+            (19, 11),
+            (20, 0),
+            (21, 11),
+            (22, 8),
+            (22, 23),
+            (23, 25),
+            (24, 23),
+            (25, 17),
+        ];
+        let mut g = DiGraph::from_edges(26, edges.to_vec());
+        let mut scalar = CscIndex::build(&g, CscConfig::default()).unwrap();
+        let mut batched = scalar.clone();
+        let ops = [
+            (false, 20, 0),
+            (false, 19, 11),
+            (true, 23, 11),
+            (false, 12, 22),
+        ];
+        for (insert, a, b) in ops {
+            let (a, b) = (VertexId(a), VertexId(b));
+            let update = if insert {
+                g.try_add_edge(a, b).unwrap();
+                scalar.insert_edge(a, b).unwrap();
+                crate::GraphUpdate::InsertEdge(a, b)
+            } else {
+                g.try_remove_edge(a, b).unwrap();
+                scalar.remove_edge(a, b).unwrap();
+                crate::GraphUpdate::RemoveEdge(a, b)
+            };
+            batched.apply_batch(&[update]).unwrap();
+            assert_queries_match(&scalar, &g, &format!("scalar after {update:?}"));
+            assert_queries_match(&batched, &g, &format!("batch after {update:?}"));
+        }
+        assert_eq!(scalar.query(VertexId(11)), None);
+        assert_eq!(batched.query(VertexId(12)), None);
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Index health reporting and the rebuild (rejuvenation) policy.
 //!
 //! Dynamic maintenance preserves *correctness* but not *quality*: every
-//! added vertex lands at the bottom of the rank order, deletions leave
-//! redundant entries behind (under the default redundancy strategy), and
-//! incremental snapshots accumulate relocation dead space. A long-lived
-//! index therefore drifts away from the one a fresh build over the same
-//! graph would produce — and with it query latency and memory.
+//! added vertex lands at the bottom of the rank order, and deletions leave
+//! redundant entries behind (under the default redundancy strategy). A
+//! long-lived index therefore drifts away from the one a fresh build over
+//! the same graph would produce — and with it query latency and memory.
 //!
 //! [`IndexHealth`] quantifies that drift against the *baseline* captured
 //! at the last full (re)build, and [`RebuildPolicy`] decides when drift
 //! has gone far enough to be worth a rejuvenation pass (see
-//! `csc_core::maintain`). The policy thresholds are integer percentages so
-//! the configuration stays `Copy + Eq` and serializes exactly.
+//! `csc_core::maintain`). The policy thresholds are integers so the
+//! configuration stays `Copy + Eq` and serializes exactly.
 
 use std::fmt;
 
@@ -21,9 +20,6 @@ pub enum RebuildReason {
     /// Total label entries grew past
     /// [`RebuildPolicy::max_growth_percent`] of the baseline.
     LabelGrowth,
-    /// The served arena's dead space crossed
-    /// [`RebuildPolicy::max_dead_percent`].
-    DeadSpace,
     /// More than [`RebuildPolicy::max_churned_vertices`] vertices were
     /// appended (bottom-ranked) since the baseline.
     Churn,
@@ -40,7 +36,6 @@ impl fmt::Display for RebuildReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             RebuildReason::LabelGrowth => "label growth over baseline",
-            RebuildReason::DeadSpace => "arena dead space",
             RebuildReason::Churn => "bottom-ranked churn vertices",
             RebuildReason::Manual => "manual trigger",
             RebuildReason::Memory => "memory budget breach",
@@ -62,12 +57,6 @@ pub struct RebuildPolicy {
     /// immediately after every rebuild). `0` disables. Default `200`
     /// (entries doubled).
     pub max_growth_percent: u32,
-    /// Rebuild when the served arena's dead space reaches this percent of
-    /// the arena. Must be `<= 100`; `0` disables. Default `0`: incremental
-    /// publication already compacts past
-    /// [`MAX_DEAD_FRACTION`](crate::snapshot::MAX_DEAD_FRACTION), so this
-    /// is an opt-in tighter bound.
-    pub max_dead_percent: u32,
     /// Rebuild when this many vertices have been appended (all of them
     /// bottom-ranked) since the baseline. `0` disables. Default `0`.
     pub max_churned_vertices: u32,
@@ -80,7 +69,6 @@ impl Default for RebuildPolicy {
     fn default() -> Self {
         RebuildPolicy {
             max_growth_percent: 200,
-            max_dead_percent: 0,
             max_churned_vertices: 0,
             auto: false,
         }
@@ -93,7 +81,6 @@ impl RebuildPolicy {
     pub fn manual_only() -> Self {
         RebuildPolicy {
             max_growth_percent: 0,
-            max_dead_percent: 0,
             max_churned_vertices: 0,
             auto: false,
         }
@@ -108,24 +95,12 @@ impl RebuildPolicy {
                 self.max_growth_percent
             ));
         }
-        if self.max_dead_percent > 100 {
-            return Err(format!(
-                "rebuild max_dead_percent must be <= 100, got {}",
-                self.max_dead_percent
-            ));
-        }
         Ok(())
     }
 
     /// Builder-style: set the growth threshold.
     pub fn with_growth_percent(mut self, percent: u32) -> Self {
         self.max_growth_percent = percent;
-        self
-    }
-
-    /// Builder-style: set the dead-space threshold.
-    pub fn with_dead_percent(mut self, percent: u32) -> Self {
-        self.max_dead_percent = percent;
         self
     }
 
@@ -179,9 +154,6 @@ pub struct IndexHealth {
     /// `total_entries * 100 / baseline_entries` (`100` = exactly at
     /// baseline; saturates at `u32::MAX`; `100` when the baseline is 0).
     pub growth_percent: u32,
-    /// Dead fraction of the measured arena, `0.0..=1.0`. Always `0.0` for
-    /// the live (nested-list) store; meaningful for frozen snapshots.
-    pub dead_fraction: f64,
     /// Vertices appended — all bottom-ranked — since the baseline.
     pub churned_vertices: usize,
     /// Rejuvenation passes completed so far.
@@ -231,17 +203,12 @@ impl IndexHealth {
     }
 
     /// Which policy threshold (if any) this report trips, checked in
-    /// growth → dead-space → churn order. Ignores
+    /// growth → churn order. Ignores
     /// [`RebuildPolicy::auto`] — this is the *measurement*; whether
     /// anything acts on it is the caller's business.
     pub fn triggered(&self, policy: &RebuildPolicy) -> Option<RebuildReason> {
         if policy.max_growth_percent != 0 && self.growth_percent >= policy.max_growth_percent {
             return Some(RebuildReason::LabelGrowth);
-        }
-        if policy.max_dead_percent != 0
-            && self.dead_fraction * 100.0 >= f64::from(policy.max_dead_percent)
-        {
-            return Some(RebuildReason::DeadSpace);
         }
         if policy.max_churned_vertices != 0
             && self.churned_vertices >= policy.max_churned_vertices as usize
@@ -256,14 +223,13 @@ impl fmt::Display for IndexHealth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "entries {} (in {} / out {}) vs baseline {} ({}%), dead {:.1}%, \
+            "entries {} (in {} / out {}) vs baseline {} ({}%), \
              churned {}, rejuvenations {}, replay queue {}{}",
             self.total_entries,
             self.in_entries,
             self.out_entries,
             self.baseline_entries,
             self.growth_percent,
-            self.dead_fraction * 100.0,
             self.churned_vertices,
             self.rejuvenations,
             self.replay_queued,
@@ -293,7 +259,7 @@ impl fmt::Display for IndexHealth {
 mod tests {
     use super::*;
 
-    fn health(growth_percent: u32, dead: f64, churned: usize) -> IndexHealth {
+    fn health(growth_percent: u32, churned: usize) -> IndexHealth {
         IndexHealth {
             total_entries: 0,
             in_entries: 0,
@@ -302,7 +268,6 @@ mod tests {
             baseline_in_entries: 0,
             baseline_out_entries: 0,
             growth_percent,
-            dead_fraction: dead,
             churned_vertices: churned,
             rejuvenations: 0,
             replay_queued: 0,
@@ -333,26 +298,18 @@ mod tests {
     fn trigger_order_and_disabling() {
         let p = RebuildPolicy {
             max_growth_percent: 150,
-            max_dead_percent: 40,
             max_churned_vertices: 10,
             auto: false,
         };
         assert_eq!(
-            health(150, 0.5, 20).triggered(&p),
+            health(150, 20).triggered(&p),
             Some(RebuildReason::LabelGrowth),
             "growth checked first"
         );
+        assert_eq!(health(149, 10).triggered(&p), Some(RebuildReason::Churn));
+        assert_eq!(health(149, 9).triggered(&p), None);
         assert_eq!(
-            health(149, 0.4, 20).triggered(&p),
-            Some(RebuildReason::DeadSpace)
-        );
-        assert_eq!(
-            health(149, 0.39, 10).triggered(&p),
-            Some(RebuildReason::Churn)
-        );
-        assert_eq!(health(149, 0.39, 9).triggered(&p), None);
-        assert_eq!(
-            health(u32::MAX, 1.0, usize::MAX).triggered(&RebuildPolicy::manual_only()),
+            health(u32::MAX, usize::MAX).triggered(&RebuildPolicy::manual_only()),
             None,
             "disabled thresholds never fire"
         );
@@ -370,22 +327,14 @@ mod tests {
             .with_growth_percent(101)
             .validate()
             .is_ok());
-        assert!(RebuildPolicy::default()
-            .with_dead_percent(101)
-            .validate()
-            .is_err());
-        assert!(RebuildPolicy::default()
-            .with_dead_percent(100)
-            .validate()
-            .is_ok());
     }
 
     #[test]
     fn display_mentions_the_load_bearing_numbers() {
-        let mut h = health(123, 0.25, 7);
+        let mut h = health(123, 7);
         h.total_entries = 41;
         h.rebuilding = true;
         let s = h.to_string();
-        assert!(s.contains("123%") && s.contains("25.0%") && s.contains("[rebuilding]"));
+        assert!(s.contains("123%") && s.contains("churned 7") && s.contains("[rebuilding]"));
     }
 }

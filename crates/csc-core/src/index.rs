@@ -280,13 +280,8 @@ impl CscIndex {
     }
 
     /// The current drift report against the baseline.
-    ///
-    /// The live store has no frozen arena, so
-    /// [`dead_fraction`](IndexHealth::dead_fraction) is always `0.0` here;
-    /// [`SnapshotIndex::health`](crate::SnapshotIndex::health) reports the
-    /// served arena's real value, and
-    /// [`ConcurrentIndex::health`](crate::ConcurrentIndex::health)
-    /// combines both with the maintenance-plane state.
+    /// [`ConcurrentIndex::health`](crate::ConcurrentIndex::health) adds
+    /// the maintenance-plane state to it.
     pub fn health(&self) -> IndexHealth {
         let total = self.labels.total_entries();
         IndexHealth {
@@ -297,7 +292,6 @@ impl CscIndex {
             baseline_in_entries: self.baseline.in_entries,
             baseline_out_entries: self.baseline.out_entries,
             growth_percent: IndexHealth::growth(total, self.baseline.entries),
-            dead_fraction: 0.0,
             churned_vertices: self
                 .original_vertex_count()
                 .saturating_sub(self.baseline.vertices),
@@ -511,10 +505,7 @@ mod tests {
         assert_eq!(h.growth_percent, 100, "fresh build sits at baseline");
         assert_eq!(h.total_entries, idx.total_entries());
         assert_eq!(h.in_entries + h.out_entries, h.total_entries);
-        assert_eq!(
-            (h.churned_vertices, h.rejuvenations, h.dead_fraction),
-            (0, 0, 0.0)
-        );
+        assert_eq!((h.churned_vertices, h.rejuvenations), (0, 0));
         assert!(!h.rebuilding);
 
         let nv = idx.add_vertex();

@@ -2,11 +2,11 @@
 //!
 //! Before this module, the write side of the system was four ad-hoc
 //! paths — single-op insert/delete, [`apply_batch`](CscIndex::apply_batch),
-//! the snapshot refreeze/compaction policy, and (missing entirely) a full
-//! rebuild. [`MaintenanceEngine`] unifies them behind one state machine:
+//! snapshot publication, and (missing entirely) a full rebuild.
+//! [`MaintenanceEngine`] unifies them behind one state machine:
 //!
 //! ```text
-//!            writes apply directly, snapshots refreeze incrementally
+//!            writes apply directly, snapshots gather the query halves
 //!           ┌───────────┐
 //!           │  Serving  │◄───────────────────────────────┐
 //!           └─────┬─────┘                                │
@@ -41,11 +41,10 @@
 //! * incoming writes are accepted optimistically into a write-ahead
 //!   **replay queue** (their validity is resolved at replay with the
 //!   skip-invalid semantics of [`apply_batch`](CscIndex::apply_batch));
-//! * on completion the queue is replayed onto the new index, the engine
-//!   swaps it in, and the next publication is forced to be a **full
-//!   freeze** — an incremental refreeze against a snapshot of the old
-//!   label store would be unsound, and the state machine is what makes
-//!   that invariant enforceable in one place.
+//! * on completion the queue is replayed onto the new index and the
+//!   engine swaps it in; the next publication gathers from the new label
+//!   store like any other (a publication never reads the snapshot it
+//!   replaces).
 //!
 //! [`ConcurrentIndex`](crate::ConcurrentIndex) is a thin facade over this
 //! engine: it adds the lock layout and the publication slot, nothing else.
@@ -257,9 +256,6 @@ pub struct MaintenanceEngine {
     /// `AddVertex` ops currently queued — the offset for virtual ids
     /// handed out by [`add_vertex`](Self::add_vertex) mid-rebuild.
     queued_vertices: usize,
-    /// Set at every swap: the next publication must be a full freeze (the
-    /// previous published snapshot addresses the *old* label store).
-    full_freeze_pending: bool,
     /// `Some(detail)` after a write-path panic (or failed integrity
     /// check): the engine refuses writes and publication until
     /// [`recover_in_place`](Self::recover_in_place).
@@ -303,7 +299,6 @@ impl MaintenanceEngine {
             rebuild: None,
             replay: VecDeque::new(),
             queued_vertices: 0,
-            full_freeze_pending: false,
             degraded: None,
             durability: None,
             durability_degraded: None,
@@ -867,17 +862,7 @@ impl MaintenanceEngine {
     /// Checks the policy thresholds and starts a rejuvenation if one
     /// trips (regardless of [`RebuildPolicy::auto`] — the *caller* decides
     /// whether measurement implies action). Returns the tripped reason.
-    ///
-    /// The engine's own [`health`](Self::health) always reports a dead
-    /// fraction of `0.0` (the live nested store has no arena), so the
-    /// caller that owns the served snapshot passes its real
-    /// `dead_fraction` here — otherwise the
-    /// [`RebuildPolicy::max_dead_percent`] threshold could never fire
-    /// automatically.
-    pub fn maybe_begin(
-        &mut self,
-        arena_dead_fraction: f64,
-    ) -> Result<Option<RebuildReason>, CscError> {
+    pub fn maybe_begin(&mut self) -> Result<Option<RebuildReason>, CscError> {
         if self.is_rebuilding() {
             return Ok(None);
         }
@@ -890,11 +875,7 @@ impl MaintenanceEngine {
                 return Ok(None);
             }
         }
-        let health = IndexHealth {
-            dead_fraction: arena_dead_fraction,
-            ..self.health()
-        };
-        match health.triggered(self.policy()) {
+        match self.health().triggered(self.policy()) {
             Some(reason) => {
                 self.begin_rejuvenation(reason)?;
                 Ok(Some(reason))
@@ -1087,7 +1068,6 @@ impl MaintenanceEngine {
         // The baseline is the post-rebuild state; replayed updates then
         // count as ordinary drift on top of it.
         self.index = fresh;
-        self.full_freeze_pending = true;
         self.stats.rejuvenations_completed += 1;
         // A completed rebuild resets the abandon-retry backoff.
         self.rebuild_failures = 0;
@@ -1126,23 +1106,13 @@ impl MaintenanceEngine {
         Ok(())
     }
 
-    /// Produces the next snapshot to publish, routing through the state
-    /// machine's freeze policy: incremental
-    /// ([`SnapshotIndex::refreeze_from`]) against `prev` in the steady
-    /// state, a full couple-ordered freeze right after a rejuvenation swap
-    /// (when `prev` addresses the retired label store) or when no previous
-    /// snapshot exists.
-    pub fn publish_from(&mut self, prev: Option<&SnapshotIndex>) -> SnapshotIndex {
-        let dirty = self.index.labels.take_dirty();
-        match prev {
-            Some(p) if !self.full_freeze_pending => {
-                SnapshotIndex::refreeze_from(p, &self.index, &dirty)
-            }
-            _ => {
-                self.full_freeze_pending = false;
-                self.index.freeze()
-            }
-        }
+    /// Produces the next snapshot to publish: a full gather of the live
+    /// index's query halves ([`SnapshotIndex::freeze`]). `prev`, the
+    /// snapshot currently served, is not read — nothing is patched into
+    /// it, so a publication is the same after a rejuvenation swap or a
+    /// recovery as in the steady state.
+    pub fn publish_from(&mut self, _prev: Option<&SnapshotIndex>) -> SnapshotIndex {
+        self.index.freeze()
     }
 
     /// Reconstructs an engine from a durability directory: loads the
@@ -1313,9 +1283,6 @@ impl MaintenanceEngine {
     /// * **Without durability**: rebuilds from the live graph (which
     ///   mutates *before* label repair, so it is intact even when the
     ///   labels are torn), then replays the in-memory queue onto it.
-    ///
-    /// After either path the next snapshot publication is forced to be a
-    /// full freeze — the label store is brand new.
     pub fn recover_in_place(&mut self) -> Result<RecoveryReport, CscError> {
         if let Some(d) = &self.durability {
             let dir = d.dir.clone();
@@ -1323,7 +1290,6 @@ impl MaintenanceEngine {
             let (mut fresh, report) = Self::recover(&dir)?;
             fresh.stats = stats;
             fresh.stats.recoveries += 1;
-            fresh.full_freeze_pending = true;
             // Lifetime overload/durability counters survive the swap.
             fresh.writes_rejected = self.writes_rejected;
             fresh.writes_shed = self.writes_shed;
@@ -1355,7 +1321,6 @@ impl MaintenanceEngine {
             self.protected("recovery replay", |idx| idx.apply_batch(window))?;
             updates_replayed += window.len();
         }
-        self.full_freeze_pending = true;
         self.integrity_check_after("recovery")?;
         self.stats.recoveries += 1;
         Ok(RecoveryReport {
@@ -1640,7 +1605,7 @@ mod tests {
         // The churn policy trips (1 added vertex), but the automatic
         // path waits out the abandon backoff...
         assert_eq!(
-            engine.maybe_begin(0.0).unwrap(),
+            engine.maybe_begin().unwrap(),
             None,
             "backoff gates the retry"
         );
@@ -1660,45 +1625,44 @@ mod tests {
                 .with_auto(true),
         );
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
-        assert_eq!(engine.maybe_begin(0.0).unwrap(), None);
+        assert_eq!(engine.maybe_begin().unwrap(), None);
         engine.add_vertex().unwrap();
-        assert_eq!(engine.maybe_begin(0.0).unwrap(), None, "below threshold");
+        assert_eq!(engine.maybe_begin().unwrap(), None, "below threshold");
         engine.add_vertex().unwrap();
-        assert_eq!(engine.maybe_begin(0.0).unwrap(), Some(RebuildReason::Churn));
+        assert_eq!(engine.maybe_begin().unwrap(), Some(RebuildReason::Churn));
         assert!(engine.is_rebuilding());
         // Idempotent while in flight.
-        assert_eq!(engine.maybe_begin(0.0).unwrap(), None);
+        assert_eq!(engine.maybe_begin().unwrap(), None);
         while engine.step(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
         assert_eq!(engine.health().churned_vertices, 0, "churn re-ranked away");
     }
 
     #[test]
-    fn publish_from_forces_full_freeze_after_swap() {
+    fn publish_from_gathers_the_live_state_across_a_swap() {
         let g = directed_cycle(16);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
-        engine.index.labels.take_dirty();
+        // Each publication equals a fresh freeze of the live state —
+        // before and after the rejuvenation swap alike.
+        let check = |engine: &MaintenanceEngine, snap: &SnapshotIndex| {
+            assert_eq!(snap.labels(), engine.index().freeze().labels());
+            assert_eq!(snap.total_entries(), engine.index().total_entries());
+            for v in 0..16u32 {
+                let v = VertexId(v);
+                assert_eq!(snap.query(v), engine.index().query(v), "SCCnt({v})");
+            }
+        };
         let first = engine.publish_from(None);
-
-        // Steady state: incremental refreeze tracks updates exactly.
+        check(&engine, &first);
         engine.insert_edge(VertexId(0), VertexId(9)).unwrap();
         engine.insert_edge(VertexId(9), VertexId(0)).unwrap();
         let second = engine.publish_from(Some(&first));
-        assert_eq!(second.total_entries(), engine.index().total_entries());
-
-        // Rejuvenate: the old arena is retired, the next publish must not
-        // patch into it.
+        check(&engine, &second);
         engine.rejuvenate(RebuildReason::Manual).unwrap();
         let third = engine.publish_from(Some(&second));
-        assert_eq!(third.total_entries(), engine.index().total_entries());
-        assert_eq!(third.labels().dead_entries(), 0, "full freeze, not a patch");
-        for v in 0..16u32 {
-            let v = VertexId(v);
-            assert_eq!(third.query(v), engine.index().query(v), "SCCnt({v})");
-        }
-        // And the publication after that is incremental again.
+        check(&engine, &third);
         engine.remove_edge(VertexId(0), VertexId(9)).unwrap();
         let fourth = engine.publish_from(Some(&third));
-        assert_eq!(fourth.total_entries(), engine.index().total_entries());
+        check(&engine, &fourth);
     }
 
     #[test]

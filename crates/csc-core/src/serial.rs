@@ -217,7 +217,9 @@ impl CscIndex {
                 .map_err(|_| CscError::Serial("snapshot_every exceeds u32".into()))?,
         );
         config.put_u32_le(self.config.rebuild.max_growth_percent);
-        config.put_u32_le(self.config.rebuild.max_dead_percent);
+        // Retired dead-space threshold: the slot stays so the layout is
+        // unchanged; written as 0, ignored on read.
+        config.put_u32_le(0);
         config.put_u32_le(self.config.rebuild.max_churned_vertices);
         config.put_u8(self.config.rebuild.auto as u8);
         let (ftag, farg) = fsync_tag(self.config.durability.fsync);
@@ -401,9 +403,10 @@ impl CscIndex {
         };
         let maintain_inverted = p.get_u8() != 0;
         let snapshot_every = p.get_u32_le() as usize;
+        let max_growth_percent = p.get_u32_le();
+        let _retired_dead_percent = p.get_u32_le();
         let rebuild = RebuildPolicy {
-            max_growth_percent: p.get_u32_le(),
-            max_dead_percent: p.get_u32_le(),
+            max_growth_percent,
             max_churned_vertices: p.get_u32_le(),
             auto: p.get_u8() != 0,
         };

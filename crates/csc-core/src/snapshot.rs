@@ -9,19 +9,19 @@
 //! [`ConcurrentIndex`](crate::ConcurrentIndex) for the publication
 //! machinery).
 //!
-//! Queries evaluate on [`FrozenLabels`]: one contiguous arena where the
-//! two lists a cycle query intersects sit adjacent in memory, driven by the
-//! adaptive (branchless merge / galloping) kernel. The equivalence of this
-//! path with `CscIndex::query` is property-tested in
-//! `csc-labeling/tests/frozen_equivalence.rs`.
+//! Queries evaluate on [`FrozenLabels`]: one contiguous arena holding
+//! only the two lists a cycle query intersects — `Lout(v_o)` directly
+//! followed by `Lin(v_i)` for every original vertex `v` — driven by the
+//! adaptive (branchless merge / galloping) kernel. This is the paper's
+//! §IV-E index reduction applied where it is exact even after updates:
+//! `SCCnt` never reads the other two halves, so they are never copied.
+//! The equivalence of this path with `CscIndex::query` is property-tested
+//! in `csc-labeling/tests/frozen_equivalence.rs`.
 //!
-//! Snapshots are produced two ways: [`SnapshotIndex::freeze`] walks the
-//! whole label store, while [`SnapshotIndex::refreeze_from`] patches only
-//! the lists dirtied since a previous snapshot into a copy of its arena —
-//! the incremental republication path of
-//! [`ConcurrentIndex`](crate::ConcurrentIndex), with automatic compaction
-//! back to a full couple-ordered freeze once relocation holes exceed
-//! [`MAX_DEAD_FRACTION`] of the arena.
+//! Every snapshot is a full gather of those halves from the live label
+//! store ([`SnapshotIndex::freeze`]), `O(query-half entries + n)`: there
+//! is no patching against a previous snapshot, so no dead space and no
+//! publication bookkeeping on the write path.
 
 use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
@@ -29,11 +29,6 @@ use csc_graph::bipartite::{in_vertex, out_vertex};
 use csc_graph::{RankTable, VertexId};
 use csc_labeling::{CycleCount, DistCount, FrozenLabels, LabelSide, LabelStore};
 use rayon::prelude::*;
-
-/// When [`SnapshotIndex::refreeze_from`]'s patched arena carries more dead
-/// space than this fraction, it compacts via a full couple-ordered freeze
-/// instead — bounding both memory overhead and layout decay.
-pub const MAX_DEAD_FRACTION: f64 = 0.5;
 
 /// An immutable snapshot of a [`CscIndex`]'s query state.
 ///
@@ -65,68 +60,38 @@ pub struct SnapshotIndex {
     /// The source index's drift baseline at freeze time, so the snapshot
     /// can report its own [`health`](SnapshotIndex::health).
     baseline: HealthBaseline,
+    /// `[in, out]` entries of the labelling this snapshot was frozen from
+    /// (the arena holds only the query halves of it).
+    source_entries: [usize; 2],
 }
 
 impl SnapshotIndex {
-    /// Freezes the current state of `index`. `O(total label entries)`.
-    ///
-    /// The arena is laid out in couple-query order — `Lout(v_o)` directly
-    /// followed by `Lin(v_i)` for every original vertex `v` — so each
-    /// `SCCnt(v)` intersection reads one contiguous, prefetcher-friendly
-    /// region.
+    /// Freezes the current state of `index` by gathering its query
+    /// halves in couple order — `Lout(v_o)` directly followed by
+    /// `Lin(v_i)` for every original vertex `v` — so each `SCCnt(v)`
+    /// intersection reads one contiguous, prefetcher-friendly region.
+    /// `O(query-half entries + n)`.
     pub fn freeze(index: &CscIndex) -> Self {
         let n = index.original_vertex_count();
-        let couple_order = (0..n as u32).flat_map(|v| {
+        let couple_halves = (0..n as u32).flat_map(|v| {
             let v = VertexId(v);
             [
-                (out_vertex(v), csc_labeling::LabelSide::Out),
-                (in_vertex(v), csc_labeling::LabelSide::In),
+                (out_vertex(v), LabelSide::Out),
+                (in_vertex(v), LabelSide::In),
             ]
         });
-        Self::from_arena(
-            FrozenLabels::freeze_ordered(index.labels(), couple_order),
-            index,
-        )
-    }
-
-    /// Freezes the current state of `index` *incrementally*: only the
-    /// label lists in `dirty_slots` (the drain of
-    /// [`Labels::take_dirty`](csc_labeling::Labels::take_dirty) since
-    /// `prev` was frozen) are re-gathered; everything else is carried over
-    /// from `prev`'s arena by a flat copy. `O(arena + changed entries)`
-    /// with a much smaller constant than [`freeze`](Self::freeze), which
-    /// re-walks `2n` heap-scattered lists.
-    ///
-    /// Falls back to a full couple-ordered freeze when relocation holes
-    /// exceed [`MAX_DEAD_FRACTION`] of the patched arena, so chains of
-    /// incremental snapshots stay bounded in size and layout quality.
-    ///
-    /// Correctness requires `prev` to match the label store as of the
-    /// drain point — [`ConcurrentIndex`](crate::ConcurrentIndex) maintains
-    /// exactly that invariant between publications.
-    pub fn refreeze_from(prev: &SnapshotIndex, index: &CscIndex, dirty_slots: &[u32]) -> Self {
-        // Project the dead fraction in O(dirty) first: when this publish
-        // would cross the compaction threshold, go straight to the full
-        // freeze instead of paying for a patched arena copy only to
-        // discard it.
-        let (dead, total) = prev.frozen.projected_refreeze(index.labels(), dirty_slots);
-        if total > 0 && dead as f64 / total as f64 > MAX_DEAD_FRACTION {
-            return Self::freeze(index);
-        }
-        Self::from_arena(
-            prev.frozen.refreeze_spans(index.labels(), dirty_slots),
-            index,
-        )
-    }
-
-    fn from_arena(frozen: FrozenLabels, index: &CscIndex) -> Self {
+        let labels = index.labels();
         let stats = index.stats();
         SnapshotIndex {
-            frozen,
+            frozen: FrozenLabels::gather(labels, couple_halves),
             ranks: index.ranks().clone(),
-            original_n: index.original_vertex_count(),
+            original_n: n,
             updates_applied: (stats.insertions + stats.deletions) as u64,
             baseline: *index.baseline(),
+            source_entries: [
+                labels.side_entries(LabelSide::In),
+                labels.side_entries(LabelSide::Out),
+            ],
         }
     }
 
@@ -173,7 +138,9 @@ impl SnapshotIndex {
         self.original_n
     }
 
-    /// The frozen label arena.
+    /// The frozen label arena. Only the query halves are stored:
+    /// `out_of(v_o)` and `in_of(v_i)` per original vertex `v`; every other
+    /// list reads as empty.
     pub fn labels(&self) -> &FrozenLabels {
         &self.frozen
     }
@@ -183,12 +150,13 @@ impl SnapshotIndex {
         &self.ranks
     }
 
-    /// Total label entries in the snapshot.
+    /// Total label entries of the labelling the snapshot was frozen from
+    /// (the arena stores the query half of them).
     pub fn total_entries(&self) -> usize {
-        self.frozen.total_entries()
+        self.source_entries[0] + self.source_entries[1]
     }
 
-    /// Snapshot size in bytes (arena + offsets).
+    /// Snapshot size in bytes (arena + spans).
     pub fn index_bytes(&self) -> usize {
         self.frozen.arena_bytes()
     }
@@ -201,21 +169,20 @@ impl SnapshotIndex {
     }
 
     /// The snapshot's drift report against the baseline it was frozen
-    /// with: per-side label growth, real arena dead space, and the
+    /// with: per-side label growth of the source labelling and the
     /// bottom-ranked churn count. The maintenance-plane fields
     /// (`replay_queued`, `rebuilding`) are always idle here — a snapshot
     /// is a point in time, not a write plane.
     pub fn health(&self) -> IndexHealth {
-        let total = self.frozen.total_entries();
+        let total = self.total_entries();
         IndexHealth {
             total_entries: total,
-            in_entries: self.frozen.side_entries(LabelSide::In),
-            out_entries: self.frozen.side_entries(LabelSide::Out),
+            in_entries: self.source_entries[0],
+            out_entries: self.source_entries[1],
             baseline_entries: self.baseline.entries,
             baseline_in_entries: self.baseline.in_entries,
             baseline_out_entries: self.baseline.out_entries,
             growth_percent: IndexHealth::growth(total, self.baseline.entries),
-            dead_fraction: self.frozen.dead_fraction(),
             churned_vertices: self.original_n.saturating_sub(self.baseline.vertices),
             rejuvenations: self.baseline.rejuvenations,
             replay_queued: 0,
@@ -302,70 +269,6 @@ mod tests {
     }
 
     #[test]
-    fn refreeze_tracks_updates_like_a_full_freeze() {
-        let g = gnm(30, 100, 7);
-        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-        idx.labels.take_dirty(); // snapshot baseline
-        let mut snap = idx.freeze();
-
-        let edges = g.edge_vec();
-        for (k, &(a, b)) in edges.iter().enumerate().take(12) {
-            if k % 2 == 0 {
-                idx.remove_edge(VertexId(a), VertexId(b)).unwrap();
-            } else {
-                let nv = idx.add_vertex();
-                idx.insert_edge(VertexId(a), nv).unwrap();
-            }
-            let dirty = idx.labels.take_dirty();
-            snap = SnapshotIndex::refreeze_from(&snap, &idx, &dirty);
-            let full = idx.freeze();
-            assert_eq!(snap.original_vertex_count(), full.original_vertex_count());
-            assert_eq!(snap.total_entries(), full.total_entries());
-            assert_eq!(snap.updates_applied(), full.updates_applied());
-            for x in 0..snap.original_vertex_count() as u32 {
-                let x = VertexId(x);
-                assert_eq!(snap.query(x), full.query(x), "step {k}: SCCnt({x})");
-            }
-        }
-    }
-
-    #[test]
-    fn refreeze_compacts_once_dead_space_dominates() {
-        let g = gnm(30, 90, 5);
-        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
-        idx.labels.take_dirty();
-        let mut snap = idx.freeze();
-        // Thrash one edge so list lengths keep changing: every publication
-        // relocates the grown/shrunk lists, piling up dead space until the
-        // compaction threshold forces a clean full freeze.
-        let (a, b) = g.edge_vec()[10];
-        let (mut saw_dead, mut saw_compaction) = (false, false);
-        let mut prev_dead = 0usize;
-        for k in 0..600 {
-            if saw_compaction {
-                break;
-            }
-            if k % 2 == 0 {
-                idx.remove_edge(VertexId(a), VertexId(b)).unwrap();
-            } else {
-                idx.insert_edge(VertexId(a), VertexId(b)).unwrap();
-            }
-            let dirty = idx.labels.take_dirty();
-            snap = SnapshotIndex::refreeze_from(&snap, &idx, &dirty);
-            let dead = snap.labels().dead_entries();
-            saw_dead |= dead > 0;
-            saw_compaction |= prev_dead > 0 && dead == 0;
-            prev_dead = dead;
-            assert!(
-                snap.labels().dead_fraction() <= crate::snapshot::MAX_DEAD_FRACTION,
-                "compaction must bound dead space"
-            );
-        }
-        assert!(saw_dead, "the scenario must exercise relocation");
-        assert!(saw_compaction, "dead space must eventually be compacted");
-    }
-
-    #[test]
     fn snapshot_health_mirrors_index_plus_arena_state() {
         let g = gnm(24, 80, 11);
         let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
@@ -381,7 +284,6 @@ mod tests {
         );
         assert_eq!(sh.baseline_entries, ih.baseline_entries);
         assert_eq!(sh.churned_vertices, 1);
-        assert_eq!(sh.dead_fraction, 0.0, "fresh freeze has no dead space");
         assert!(!sh.rebuilding && sh.replay_queued == 0);
     }
 

@@ -8,16 +8,14 @@
 //! out-list and `v_i`'s in-list) land far apart on the heap.
 //!
 //! [`FrozenLabels`] is the serving-side counterpart: one contiguous
-//! CSR-style arena of [`LabelEntry`]s with a single offset array, frozen
-//! from a `Labels` in one pass. Per vertex, the in-list and out-list are
-//! adjacent in the arena, and couples (`v_i = 2v`, `v_o = 2v + 1` under the
-//! bipartite id scheme) are adjacent to each other — so the two slices a
-//! `SCCnt(v)` query intersects usually share cache lines. Once frozen, an
-//! arena can also be *patched* instead of rebuilt:
-//! [`refreeze_spans`](FrozenLabels::refreeze_spans) folds the lists a
-//! batch of updates dirtied into a copy of the existing arena, which is
-//! what keeps snapshot republication cost proportional to the update, not
-//! the index.
+//! CSR-style arena of [`LabelEntry`]s with a single span array, gathered
+//! from a `Labels` in one pass. [`gather`](FrozenLabels::gather) copies
+//! exactly the lists a reader needs, in the order it reads them: the cycle
+//! query engine in `csc-core` gathers only `Lout(v_o)` and `Lin(v_i)` per
+//! vertex (couples `v_i = 2v`, `v_o = 2v + 1` under the bipartite id
+//! scheme), back to back, so the two slices a `SCCnt(v)` query intersects
+//! share cache lines and the other half of the labelling is never copied.
+//! [`freeze`](FrozenLabels::freeze) gathers every list.
 //!
 //! Both layouts answer queries through the [`LabelStore`] trait, whose
 //! default `dist_count` uses [`intersect_adaptive`]. The kernel picks a
@@ -41,7 +39,7 @@
 //! `tests/frozen_equivalence.rs`.
 
 use crate::entry::LabelEntry;
-use crate::labels::{DistCount, LabelSide, Labels};
+use crate::labels::{label_slot, DistCount, LabelSide, Labels};
 use csc_graph::budget::{BudgetExceeded, OpBudget};
 use csc_graph::VertexId;
 
@@ -135,201 +133,84 @@ impl LabelStore for Labels {
     }
 }
 
-/// An immutable, contiguous (CSR-style) label arena frozen from a
+/// An immutable, contiguous (CSR-style) label arena gathered from a
 /// [`Labels`].
 ///
-/// One `Vec<LabelEntry>` holds every list; per slot (vertex × side) a
-/// `(start, end)` span addresses its slice. The default [`freeze`]
-/// interleaves each vertex's in- and out-list; [`freeze_ordered`] lets the
-/// caller place the lists its queries co-access back to back (the cycle
-/// query engine in `csc-core` pairs `Lout(v_o)` with `Lin(v_i)`, turning
-/// every `SCCnt` evaluation into one forward streaming read). Freezing is
-/// `O(total entries)`; queries allocate nothing and touch exactly one
-/// slab.
-///
-/// [`freeze`]: FrozenLabels::freeze
-/// [`freeze_ordered`]: FrozenLabels::freeze_ordered
+/// One `Vec<LabelEntry>` holds every gathered list; per slot (vertex ×
+/// side) a `(start, end)` span addresses its slice, and lists that were
+/// not gathered read as empty. Gathering is `O(gathered entries + n)`;
+/// queries allocate nothing and touch exactly one slab.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrozenLabels {
     entries: Vec<LabelEntry>,
-    /// Indexed by slot `2v` (in-list of `v`) / `2v + 1` (out-list of `v`)
-    /// — the same encoding as [`crate::labels::label_slot`].
+    /// Indexed by [`label_slot`]: `2v` (in-list of `v`) / `2v + 1`
+    /// (out-list of `v`).
     spans: Vec<(u32, u32)>,
-    /// Arena entries no span points at anymore. [`refreeze_spans`] strands
-    /// the old copy of every list it relocates; the count drives the
-    /// caller's compaction policy ([`Self::dead_fraction`]).
-    ///
-    /// [`refreeze_spans`]: Self::refreeze_spans
-    dead: u32,
 }
 
 impl FrozenLabels {
-    /// Freezes a snapshot of `labels` in natural order (per vertex:
-    /// in-list, then out-list).
+    /// Freezes every list of `labels` (per vertex: in-list, then
+    /// out-list).
     pub fn freeze(labels: &Labels) -> Self {
         let n = Labels::vertex_count(labels);
-        Self::freeze_ordered(
+        Self::gather(
             labels,
             (0..n as u32)
                 .flat_map(|v| [(VertexId(v), LabelSide::In), (VertexId(v), LabelSide::Out)]),
         )
     }
 
-    /// Freezes a snapshot with the `hot` lists laid out first, in the
-    /// given order; lists not mentioned follow in natural order. Lists a
-    /// query intersects together should be adjacent here — the arena then
+    /// Gathers exactly the named `lists` of `labels`, laid out in the
+    /// given order; every list not named reads as empty. Lists a query
+    /// intersects together should be adjacent here — the arena then
     /// serves that query as a single forward stream.
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range vertex, on a list mentioned twice, or if
-    /// the store holds `>= 2^32` entries (beyond the `u32` span encoding —
-    /// at 8 bytes per entry that is a 32 GiB index).
-    pub fn freeze_ordered(
-        labels: &Labels,
-        hot: impl IntoIterator<Item = (VertexId, LabelSide)>,
-    ) -> Self {
-        let n = Labels::vertex_count(labels);
-        let total = Labels::total_entries(labels);
+    /// Panics on an out-of-range vertex, on a list named twice, or if the
+    /// named lists hold `>= 2^32` entries (beyond the `u32` span encoding
+    /// — at 8 bytes per entry that is a 32 GiB arena).
+    pub fn gather<I>(labels: &Labels, lists: I) -> Self
+    where
+        I: IntoIterator<Item = (VertexId, LabelSide)>,
+        I::IntoIter: Clone,
+    {
+        let lists = lists.into_iter();
+        let total: usize = lists
+            .clone()
+            .map(|(v, side)| labels.side_of(v, side).len())
+            .sum();
         assert!(
             u32::try_from(total).is_ok(),
             "label arena of {total} entries exceeds u32 spans"
         );
         let mut entries = Vec::with_capacity(total);
-        let mut spans = vec![(u32::MAX, u32::MAX); 2 * n];
-        let mut place = |spans: &mut Vec<(u32, u32)>, v: VertexId, side: LabelSide| {
-            let slot = 2 * v.index() + usize::from(side == LabelSide::Out);
+        let mut spans = vec![(u32::MAX, u32::MAX); 2 * Labels::vertex_count(labels)];
+        for (v, side) in lists {
+            let slot = label_slot(v, side) as usize;
             assert!(
                 spans[slot].0 == u32::MAX,
-                "freeze order mentions {v:?}/{side:?} twice"
+                "gather names {v:?}/{side:?} twice"
             );
             let lo = entries.len() as u32;
             entries.extend_from_slice(labels.side_of(v, side));
             spans[slot] = (lo, entries.len() as u32);
-        };
-        for (v, side) in hot {
-            assert!(v.index() < n, "freeze order names out-of-range {v:?}");
-            place(&mut spans, v, side);
         }
-        for v in 0..n as u32 {
-            for side in [LabelSide::In, LabelSide::Out] {
-                let slot = 2 * v as usize + usize::from(side == LabelSide::Out);
-                if spans[slot].0 == u32::MAX {
-                    place(&mut spans, VertexId(v), side);
-                }
+        for span in &mut spans {
+            if span.0 == u32::MAX {
+                *span = (0, 0);
             }
         }
-        FrozenLabels {
-            entries,
-            spans,
-            dead: 0,
-        }
+        FrozenLabels { entries, spans }
     }
 
-    /// Produces a new arena equal to re-freezing `labels`, by patching only
-    /// the listed dirty slots (see
-    /// [`Labels::take_dirty`](crate::Labels::take_dirty)) into a copy of
-    /// `self` — `O(arena copy + changed entries)` instead of a full
-    /// per-list re-gather.
-    ///
-    /// A dirty list whose length is unchanged is overwritten in place; a
-    /// grown or shrunk list is appended at the arena tail and its old span
-    /// becomes dead space. Dead space accumulates across generations —
-    /// callers should fall back to a full [`freeze`](Self::freeze) /
-    /// [`freeze_ordered`](Self::freeze_ordered) once
-    /// [`dead_fraction`](Self::dead_fraction) crosses their threshold,
-    /// which also restores the intended hot-list layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slot is out of range for `labels`, if the same slot is
-    /// listed twice, or if the patched arena would exceed `u32` spans.
-    pub fn refreeze_spans(&self, labels: &Labels, dirty_slots: &[u32]) -> Self {
-        let mut fresh = self.clone();
-        let n = Labels::vertex_count(labels);
-        assert!(
-            fresh.spans.len() <= 2 * n,
-            "labels cover fewer vertices than the frozen arena"
-        );
-        // Vertices added since the freeze: empty placeholder spans (their
-        // slots are dirty, so real content lands below).
-        fresh.spans.resize(2 * n, (0, 0));
-        let mut seen = vec![false; 2 * n];
-        for &slot in dirty_slots {
-            let (v, side) = crate::labels::slot_list(slot);
-            assert!(v.index() < n, "dirty slot {slot} out of range");
-            assert!(!seen[slot as usize], "dirty slot {slot} listed twice");
-            seen[slot as usize] = true;
-            let list = labels.side_of(v, side);
-            let (lo, hi) = fresh.spans[slot as usize];
-            if (hi - lo) as usize == list.len() {
-                fresh.entries[lo as usize..hi as usize].copy_from_slice(list);
-            } else {
-                fresh.dead += hi - lo;
-                let lo2 = fresh.entries.len();
-                fresh.entries.extend_from_slice(list);
-                let hi2 = u32::try_from(fresh.entries.len())
-                    .expect("patched label arena exceeds u32 spans");
-                fresh.spans[slot as usize] = (lo2 as u32, hi2);
-            }
-        }
-        fresh
-    }
-
-    /// The `(dead, total)` arena entry counts [`refreeze_spans`]
-    /// would produce for this dirty set, computed in `O(dirty)` without
-    /// touching the arena — callers can decide to compact (full freeze)
-    /// *instead of* paying for a patched copy they would throw away.
-    ///
-    /// [`refreeze_spans`]: Self::refreeze_spans
-    pub fn projected_refreeze(&self, labels: &Labels, dirty_slots: &[u32]) -> (usize, usize) {
-        let mut dead = self.dead as usize;
-        let mut total = self.entries.len();
-        for &slot in dirty_slots {
-            let (v, side) = crate::labels::slot_list(slot);
-            let new_len = labels.side_of(v, side).len();
-            let old_len = self
-                .spans
-                .get(slot as usize)
-                .map_or(0, |&(lo, hi)| (hi - lo) as usize);
-            if new_len != old_len {
-                dead += old_len;
-                total += new_len;
-            }
-        }
-        (dead, total)
-    }
-
-    /// Number of live entries on `side` across all vertices, recomputed
-    /// from the spans in O(n). Feeds the per-side drift statistics of
-    /// `IndexHealth`; dead (relocated) entries are not counted.
-    pub fn side_entries(&self, side: LabelSide) -> usize {
-        let parity = usize::from(side == LabelSide::Out);
-        self.spans
-            .iter()
-            .enumerate()
-            .filter(|(slot, _)| slot % 2 == parity)
-            .map(|(_, &(lo, hi))| (hi - lo) as usize)
-            .sum()
-    }
-
-    /// Arena entries stranded by [`refreeze_spans`](Self::refreeze_spans)
-    /// relocations (no span addresses them).
-    pub fn dead_entries(&self) -> usize {
-        self.dead as usize
-    }
-
-    /// Fraction of the arena that is dead space, in `0.0..=1.0`.
+    /// Fraction of the arena no span addresses. Always `0.0`: a gathered
+    /// arena is written once and holds only the lists it serves.
     pub fn dead_fraction(&self) -> f64 {
-        if self.entries.is_empty() {
-            0.0
-        } else {
-            self.dead as f64 / self.entries.len() as f64
-        }
+        0.0
     }
 
-    /// Index size in bytes of the frozen arena (entries + spans),
-    /// including dead space awaiting compaction.
+    /// Size in bytes of the arena (entries + spans).
     pub fn arena_bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<LabelEntry>()
             + self.spans.len() * std::mem::size_of::<(u32, u32)>()
@@ -360,7 +241,7 @@ impl LabelStore for FrozenLabels {
 
     #[inline]
     fn total_entries(&self) -> usize {
-        self.entries.len() - self.dead as usize
+        self.entries.len()
     }
 }
 
@@ -563,25 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn side_entries_match_store_and_skip_dead_space() {
-        let mut labels = sample_labels();
-        let frozen = FrozenLabels::freeze(&labels);
-        for side in [LabelSide::In, LabelSide::Out] {
-            assert_eq!(frozen.side_entries(side), labels.side_entries(side));
-        }
-        // Grow one list so a refreeze relocates it: the stranded copy must
-        // not count toward either side.
-        labels.take_dirty();
-        labels.append(v(3), LabelSide::Out, e(2, 2, 1));
-        let dirty = labels.take_dirty();
-        let patched = frozen.refreeze_spans(&labels, &dirty);
-        assert!(patched.dead_entries() > 0);
-        for side in [LabelSide::In, LabelSide::Out] {
-            assert_eq!(patched.side_entries(side), labels.side_entries(side));
-        }
-    }
-
-    #[test]
     fn freeze_preserves_every_slice() {
         let labels = sample_labels();
         let frozen = FrozenLabels::freeze(&labels);
@@ -601,39 +463,39 @@ mod tests {
     }
 
     #[test]
-    fn freeze_ordered_places_hot_lists_first_and_answers_identically() {
+    fn gather_keeps_named_lists_and_empties_the_rest() {
         let labels = sample_labels();
         // Cycle-style pairing: out-list of 2v+1 next to in-list of 2v.
-        let frozen = FrozenLabels::freeze_ordered(
-            &labels,
-            (0..2u32).flat_map(|v| {
-                [
-                    (VertexId(2 * v + 1), LabelSide::Out),
-                    (VertexId(2 * v), LabelSide::In),
-                ]
-            }),
-        );
-        for i in 0..4 {
-            assert_eq!(LabelStore::in_of(&frozen, v(i)), labels.in_of(v(i)));
-            assert_eq!(LabelStore::out_of(&frozen, v(i)), labels.out_of(v(i)));
+        let couples = (0..2u32).flat_map(|v| {
+            [
+                (VertexId(2 * v + 1), LabelSide::Out),
+                (VertexId(2 * v), LabelSide::In),
+            ]
+        });
+        let frozen = FrozenLabels::gather(&labels, couples);
+        assert_eq!(LabelStore::vertex_count(&frozen), 4);
+        for i in 0..2 {
+            let (vi, vo) = (v(2 * i), v(2 * i + 1));
+            assert_eq!(LabelStore::in_of(&frozen, vi), labels.in_of(vi));
+            assert_eq!(LabelStore::out_of(&frozen, vo), labels.out_of(vo));
+            assert!(LabelStore::out_of(&frozen, vi).is_empty());
+            assert!(LabelStore::in_of(&frozen, vo).is_empty());
+            assert_eq!(
+                LabelStore::dist_count(&frozen, vo, vi),
+                labels.dist_count(vo, vi)
+            );
         }
-        for s in 0..4 {
-            for t in 0..4 {
-                let (s, t) = (v(s), v(t));
-                assert_eq!(
-                    LabelStore::dist_count(&frozen, s, t),
-                    labels.dist_count(s, t)
-                );
-            }
-        }
+        // Lin(0) + Lin(2) + Lout(1) + Lout(3): the arena holds nothing else.
+        assert_eq!(LabelStore::total_entries(&frozen), 2);
+        assert_eq!(frozen.arena_bytes(), 2 * 8 + 8 * 8);
+        assert_eq!(frozen.dead_fraction(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "twice")]
-    fn freeze_ordered_rejects_duplicates() {
+    fn gather_rejects_duplicates() {
         let labels = sample_labels();
-        let _ =
-            FrozenLabels::freeze_ordered(&labels, [(v(0), LabelSide::In), (v(0), LabelSide::In)]);
+        let _ = FrozenLabels::gather(&labels, [(v(0), LabelSide::In), (v(0), LabelSide::In)]);
     }
 
     #[test]
@@ -648,74 +510,6 @@ mod tests {
         assert!(a.len().min(b.len()) >= DUAL_CHAIN_MIN);
         assert_eq!(intersect_adaptive(&a, &b), intersect(&a, &b));
         assert_eq!(intersect_adaptive(&b, &a), intersect(&a, &b));
-    }
-
-    #[test]
-    fn refreeze_spans_tracks_mutations() {
-        let mut labels = sample_labels();
-        labels.take_dirty();
-        let frozen = FrozenLabels::freeze(&labels);
-
-        // Same-length change: in-place overwrite, no dead space.
-        labels.upsert(v(1), LabelSide::In, e(2, 9, 9));
-        // Growth: list relocates to the tail, old span goes dead.
-        labels.upsert(v(0), LabelSide::Out, e(1, 2, 2));
-        // Shrink to empty.
-        labels.remove(v(3), LabelSide::Out, 1);
-        // Brand-new vertex.
-        labels.push_vertex();
-        labels.append(v(4), LabelSide::In, e(5, 1, 1));
-
-        let dirty = labels.take_dirty();
-        let patched = frozen.refreeze_spans(&labels, &dirty);
-        let full = FrozenLabels::freeze(&labels);
-        assert_eq!(LabelStore::vertex_count(&patched), 5);
-        for i in 0..5 {
-            assert_eq!(
-                LabelStore::in_of(&patched, v(i)),
-                LabelStore::in_of(&full, v(i)),
-                "in-list of {i}"
-            );
-            assert_eq!(
-                LabelStore::out_of(&patched, v(i)),
-                LabelStore::out_of(&full, v(i)),
-                "out-list of {i}"
-            );
-        }
-        // Logical size matches; dead space counts the two relocations
-        // (Lout(0) had 2 entries, Lout(3) had 1).
-        assert_eq!(
-            LabelStore::total_entries(&patched),
-            LabelStore::total_entries(&full)
-        );
-        assert_eq!(patched.dead_entries(), 3);
-        assert!(patched.dead_fraction() > 0.0 && patched.dead_fraction() < 1.0);
-        assert_eq!(frozen.dead_entries(), 0, "source arena untouched");
-
-        // A second generation keeps patching the patched arena.
-        labels.upsert(v(2), LabelSide::In, e(0, 1, 1));
-        let dirty2 = labels.take_dirty();
-        let patched2 = patched.refreeze_spans(&labels, &dirty2);
-        assert_eq!(
-            LabelStore::in_of(&patched2, v(2)),
-            labels.in_of(v(2)),
-            "second-generation patch"
-        );
-    }
-
-    #[test]
-    fn refreeze_with_no_dirt_is_identical() {
-        let labels = sample_labels();
-        let frozen = FrozenLabels::freeze(&labels);
-        assert_eq!(frozen.refreeze_spans(&labels, &[]), frozen);
-    }
-
-    #[test]
-    #[should_panic(expected = "listed twice")]
-    fn refreeze_rejects_duplicate_slots() {
-        let labels = sample_labels();
-        let frozen = FrozenLabels::freeze(&labels);
-        let _ = frozen.refreeze_spans(&labels, &[0, 0]);
     }
 
     #[test]

@@ -5,33 +5,16 @@
 //! sorted by hub rank. The query primitives implement the paper's
 //! Equations (1)–(2): a sorted two-pointer intersection that tracks the
 //! minimum combined distance and sums count products at that minimum.
-//!
-//! Every mutation additionally stamps the touched list into a *dirty-slot*
-//! set ([`Labels::take_dirty`]), which is what lets snapshot publication
-//! re-freeze only the lists an update batch actually changed (see
-//! [`FrozenLabels::refreeze_spans`](crate::FrozenLabels::refreeze_spans))
-//! instead of re-walking the whole store.
 
 use crate::entry::{EntryOverflow, LabelEntry};
 use csc_graph::VertexId;
 
 /// Slot id of the `(vertex, side)` label list: `2v` for the in-list,
-/// `2v + 1` for the out-list. The same encoding addresses spans inside
+/// `2v + 1` for the out-list. Addresses spans inside
 /// [`FrozenLabels`](crate::FrozenLabels).
 #[inline]
 pub fn label_slot(v: VertexId, side: LabelSide) -> u32 {
     2 * v.0 + u32::from(side == LabelSide::Out)
-}
-
-/// Inverse of [`label_slot`].
-#[inline]
-pub fn slot_list(slot: u32) -> (VertexId, LabelSide) {
-    let side = if slot.is_multiple_of(2) {
-        LabelSide::In
-    } else {
-        LabelSide::Out
-    };
-    (VertexId(slot / 2), side)
 }
 
 /// Which side of a vertex's labels.
@@ -64,7 +47,7 @@ pub struct DistCount {
 }
 
 /// Per-vertex in/out label lists, sorted by hub rank.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Labels {
     in_labels: Vec<Vec<LabelEntry>>,
     out_labels: Vec<Vec<LabelEntry>>,
@@ -73,55 +56,12 @@ pub struct Labels {
     /// `IndexHealth` — read on each `UpdateReport` — stay O(1) instead of
     /// re-summing `2n` vectors.
     side_count: [usize; 2],
-    dirty: DirtySlots,
 }
 
 #[inline]
 fn side_ix(side: LabelSide) -> usize {
     usize::from(side == LabelSide::Out)
 }
-
-/// The set of label-list slots mutated since the last drain: a stamp
-/// bitmap for O(1) dedup plus an insertion-ordered slot list so draining
-/// costs O(dirty), not O(n).
-#[derive(Clone, Debug, Default)]
-struct DirtySlots {
-    stamped: Vec<bool>,
-    slots: Vec<u32>,
-}
-
-impl DirtySlots {
-    #[inline]
-    fn mark(&mut self, slot: u32) {
-        let i = slot as usize;
-        if i >= self.stamped.len() {
-            self.stamped.resize(i + 1, false);
-        }
-        if !self.stamped[i] {
-            self.stamped[i] = true;
-            self.slots.push(slot);
-        }
-    }
-
-    fn take(&mut self) -> Vec<u32> {
-        for &s in &self.slots {
-            self.stamped[s as usize] = false;
-        }
-        std::mem::take(&mut self.slots)
-    }
-}
-
-/// Equality is over the stored label lists only; the dirty-slot tracking
-/// is publication bookkeeping, not index state (two stores that went
-/// through different mutation histories but hold the same entries are
-/// equal).
-impl PartialEq for Labels {
-    fn eq(&self, other: &Self) -> bool {
-        self.in_labels == other.in_labels && self.out_labels == other.out_labels
-    }
-}
-
-impl Eq for Labels {}
 
 impl Labels {
     /// Creates empty label lists for `n` vertices.
@@ -130,7 +70,6 @@ impl Labels {
             in_labels: vec![Vec::new(); n],
             out_labels: vec![Vec::new(); n],
             side_count: [0, 0],
-            dirty: DirtySlots::default(),
         }
     }
 
@@ -141,43 +80,9 @@ impl Labels {
     }
 
     /// Grows the structure to cover one more vertex (dynamic graphs).
-    ///
-    /// The fresh (empty) lists count as dirty: an incremental re-freeze
-    /// must learn about the new slots even if no entry lands in them.
     pub fn push_vertex(&mut self) {
-        let v = VertexId(self.in_labels.len() as u32);
         self.in_labels.push(Vec::new());
         self.out_labels.push(Vec::new());
-        self.dirty.mark(label_slot(v, LabelSide::In));
-        self.dirty.mark(label_slot(v, LabelSide::Out));
-    }
-
-    /// Drains the set of label-list slots (see [`label_slot`]) mutated
-    /// since the previous drain (or construction), in first-touch order.
-    ///
-    /// Snapshot publication uses this to re-freeze only the changed spans;
-    /// anything else that consumes a full freeze should drain and discard
-    /// so the set doesn't carry stale history forward.
-    pub fn take_dirty(&mut self) -> Vec<u32> {
-        self.dirty.take()
-    }
-
-    /// Number of distinct label lists mutated since the last drain.
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.slots.len()
-    }
-
-    /// Marks every label list dirty, as if each had been mutated.
-    ///
-    /// For wholesale replacements (a from-scratch rebuild swapped into a
-    /// live index): the next incremental re-freeze must re-gather every
-    /// span, because the previous snapshot's layout describes the retired
-    /// store.
-    pub fn mark_all_dirty(&mut self) {
-        for v in 0..self.in_labels.len() as u32 {
-            self.dirty.mark(label_slot(VertexId(v), LabelSide::In));
-            self.dirty.mark(label_slot(VertexId(v), LabelSide::Out));
-        }
     }
 
     /// The in-label list of `v`.
@@ -223,7 +128,6 @@ impl Labels {
         );
         list.push(entry);
         self.side_count[side_ix(side)] += 1;
-        self.dirty.mark(label_slot(v, side));
     }
 
     /// Inserts or replaces the entry for `entry.hub_rank()` at `v`,
@@ -236,16 +140,14 @@ impl Labels {
         entry: LabelEntry,
     ) -> Option<LabelEntry> {
         let list = self.side_mut(v, side);
-        let previous = match list.binary_search_by_key(&entry.hub_rank(), |e| e.hub_rank()) {
+        match list.binary_search_by_key(&entry.hub_rank(), |e| e.hub_rank()) {
             Ok(pos) => Some(std::mem::replace(&mut list[pos], entry)),
             Err(pos) => {
                 list.insert(pos, entry);
                 self.side_count[side_ix(side)] += 1;
                 None
             }
-        };
-        self.dirty.mark(label_slot(v, side));
-        previous
+        }
     }
 
     /// Looks up the entry with hub rank `hub_rank` at `v`, if present.
@@ -264,7 +166,6 @@ impl Labels {
             Ok(pos) => {
                 let removed = list.remove(pos);
                 self.side_count[side_ix(side)] -= 1;
-                self.dirty.mark(label_slot(v, side));
                 Some(removed)
             }
             Err(_) => None,
@@ -290,9 +191,6 @@ impl Labels {
             }
         });
         self.side_count[side_ix(side)] -= removed.len();
-        if !removed.is_empty() {
-            self.dirty.mark(label_slot(v, side));
-        }
         removed
     }
 
@@ -574,62 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn slot_encoding_roundtrip() {
-        for i in 0..6u32 {
-            for side in [LabelSide::In, LabelSide::Out] {
-                let slot = label_slot(v(i), side);
-                assert_eq!(slot_list(slot), (v(i), side));
-            }
-        }
+    fn slot_encoding() {
+        assert_eq!(label_slot(v(0), LabelSide::In), 0);
         assert_eq!(label_slot(v(3), LabelSide::In), 6);
         assert_eq!(label_slot(v(3), LabelSide::Out), 7);
-    }
-
-    #[test]
-    fn dirty_tracking_records_each_mutated_list_once() {
-        let mut l = Labels::new(3);
-        assert_eq!(l.take_dirty(), Vec::<u32>::new());
-        l.append(v(0), LabelSide::In, e(1, 1, 1));
-        l.append(v(0), LabelSide::In, e(2, 1, 1)); // same slot, marked once
-        l.upsert(v(2), LabelSide::Out, e(0, 1, 1));
-        assert_eq!(l.dirty_len(), 2);
-        let dirty = l.take_dirty();
-        assert_eq!(dirty, vec![label_slot(v(0), LabelSide::In), 5]);
-        // Drained: the set restarts empty and re-marks on new mutations.
-        assert_eq!(l.dirty_len(), 0);
-        l.remove(v(0), LabelSide::In, 2);
-        assert_eq!(l.take_dirty(), vec![label_slot(v(0), LabelSide::In)]);
-        // No-op mutations leave the set empty.
-        l.remove(v(0), LabelSide::In, 9);
-        let none = l.drain_matching(v(1), LabelSide::Out, |_| true);
-        assert!(none.is_empty());
-        assert_eq!(l.take_dirty(), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn push_vertex_marks_new_slots_dirty() {
-        let mut l = Labels::new(1);
-        l.take_dirty();
-        l.push_vertex();
-        assert_eq!(
-            l.take_dirty(),
-            vec![
-                label_slot(v(1), LabelSide::In),
-                label_slot(v(1), LabelSide::Out)
-            ]
-        );
-    }
-
-    #[test]
-    fn equality_ignores_dirty_history() {
-        let mut a = Labels::new(2);
-        let mut b = Labels::new(2);
-        a.append(v(0), LabelSide::In, e(1, 1, 1));
-        b.append(v(0), LabelSide::In, e(1, 1, 1));
-        b.take_dirty();
-        assert_eq!(a, b, "same content, different dirty state");
-        b.append(v(1), LabelSide::Out, e(0, 2, 1));
-        assert_ne!(a, b);
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub use entry::{EntryOverflow, LabelEntry, MAX_COUNT, MAX_DIST, MAX_HUB_RANK};
 pub use error::LabelingError;
 pub use frozen::{intersect_adaptive, FrozenLabels, LabelStore};
 pub use hpspc::{BuildStats, HpSpcIndex};
-pub use labels::{label_slot, slot_list, DistCount, LabelSide, Labels};
+pub use labels::{label_slot, DistCount, LabelSide, Labels};
 pub use state::{HubCache, SearchState, INF};
