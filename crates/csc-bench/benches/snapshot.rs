@@ -1,9 +1,9 @@
-//! Benches for the frozen-arena read path.
+//! Benches for the frozen snapshot read path.
 //!
 //! Two questions, matching the acceptance bar of the snapshot engine:
 //!
 //! 1. **Kernel/layout win** — on a ≥10k-vertex graph, how much faster is a
-//!    `SCCnt` query on the frozen CSR arena (`SnapshotIndex`, adaptive
+//!    `SCCnt` query on the frozen per-vertex slices (`SnapshotIndex`, adaptive
 //!    kernel) than on the live nested-`Vec` labels (`CscIndex`)?
 //! 2. **Concurrency win** — does reader throughput survive an active
 //!    writer? Lock-free snapshot readers should be unaffected, while

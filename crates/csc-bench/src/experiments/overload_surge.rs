@@ -40,7 +40,7 @@ use std::time::Duration;
 
 /// Reader-side percentiles for one surge configuration.
 pub struct SurgeStats {
-    /// `"idle"`, `"block"`, `"reject"`, or `"shed-oldest"`.
+    /// `"idle"`, `"block"`, or `"reject"`.
     pub policy: &'static str,
     /// Queries answered across all reader threads.
     pub queries: usize,
@@ -52,8 +52,6 @@ pub struct SurgeStats {
     pub writes_ok: usize,
     /// Writes refused with `Overloaded` during the reader window.
     pub writes_rejected: u64,
-    /// Queued writes dropped by `ShedOldest` during the reader window.
-    pub writes_shed: u64,
 }
 
 /// Refusal counts for one deadline budget tier.
@@ -151,8 +149,7 @@ fn surge_pass(
             let index = &index;
             let stop = &stop;
             scope.spawn(move || {
-                // AddVertex stays valid no matter which queued ops a
-                // `ShedOldest` run later drops.
+                // AddVertex stays valid whatever the graph looks like.
                 let mut ok = 0usize;
                 let mut i = 0usize;
                 while !stop.load(Ordering::Relaxed) {
@@ -193,7 +190,6 @@ fn surge_pass(
         p99: percentile(&latencies, 0.99),
         writes_ok,
         writes_rejected: health.writes_rejected,
-        writes_shed: health.writes_shed,
     }
 }
 
@@ -294,7 +290,6 @@ pub fn measure(ctx: &ExpContext) -> (Vec<SurgeStats>, Vec<DeadlineStats>, Vec<Re
     for (name, policy) in [
         ("block", OverloadPolicy::Block),
         ("reject", OverloadPolicy::Reject),
-        ("shed-oldest", OverloadPolicy::ShedOldest),
     ] {
         surges.push(surge_pass(
             ctx,
@@ -344,14 +339,13 @@ pub fn record_json(
             f,
             "{{\"group\":\"overload_surge\",\"kind\":\"readers\",\"graph\":\"{graph}\",\
              \"policy\":\"{}\",\"queries\":{},\"p50_us\":{:.3},\"p99_us\":{:.3},\
-             \"writes_ok\":{},\"writes_rejected\":{},\"writes_shed\":{}}}",
+             \"writes_ok\":{},\"writes_rejected\":{}}}",
             s.policy,
             s.queries,
             s.p50.as_secs_f64() * 1e6,
             s.p99.as_secs_f64() * 1e6,
             s.writes_ok,
             s.writes_rejected,
-            s.writes_shed,
         );
     }
     for d in deadlines {
@@ -391,7 +385,6 @@ pub fn run(ctx: &ExpContext) -> String {
         "vs idle",
         "writes ok",
         "rejected",
-        "shed",
     ]);
     for s in &surges {
         readers.row([
@@ -405,7 +398,6 @@ pub fn run(ctx: &ExpContext) -> String {
             ),
             s.writes_ok.to_string(),
             s.writes_rejected.to_string(),
-            s.writes_shed.to_string(),
         ]);
     }
     ctx.save_csv("overload_surge", &readers);
@@ -451,7 +443,7 @@ mod tests {
             ..ExpContext::smoke()
         };
         let (surges, deadlines, recoveries) = measure(&ctx);
-        assert_eq!(surges.len(), 4);
+        assert_eq!(surges.len(), 3, "idle, block, reject");
         assert_eq!(surges[0].policy, "idle");
         assert!(surges.iter().all(|s| s.queries > 0));
         let reject = surges.iter().find(|s| s.policy == "reject").unwrap();

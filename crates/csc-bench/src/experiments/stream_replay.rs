@@ -11,7 +11,8 @@
 //!   amortizes to — the batch engine's normalization, hub-union repair,
 //!   and one-publish-per-batch should all push per-update cost *down* as
 //!   the batch grows;
-//! * snapshot publications (each a gather of the query halves);
+//! * snapshot publications (each copying the query halves the window
+//!   changed);
 //! * reader latency percentiles under the write load, from a thread
 //!   hammering the published snapshot while the replay runs. This
 //!   container is single-core, so reader *throughput* mostly measures the

@@ -14,7 +14,7 @@
 //! | (extension) read scalability | [`experiments::throughput`] | `throughput` |
 //! | (extension) batched stream replay | [`experiments::stream_replay`] | `stream-replay` |
 //!
-//! Beyond the paper artifacts, `benches/snapshot.rs` pits the frozen-arena
+//! Beyond the paper artifacts, `benches/snapshot.rs` pits the frozen
 //! snapshot read path against the nested-`Vec` live path and measures
 //! reader throughput/latency under an active writer (results recorded in
 //! the repo-root `BENCH_query.json`), `benches/batch.rs` replays a

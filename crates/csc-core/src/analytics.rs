@@ -3,7 +3,7 @@
 //!
 //! Whole-graph sweeps (`girth`, `top_k_by_cycle_count`) exist on both
 //! [`CscIndex`] (sequential, over the live nested labels) and
-//! [`SnapshotIndex`] (parallel, over the frozen arena). Prefer the
+//! [`SnapshotIndex`] (parallel, over the frozen labels). Prefer the
 //! snapshot variants for analytics: they see an immutable state, never
 //! block a writer, and fan the per-vertex label intersections out across
 //! cores.
@@ -157,7 +157,7 @@ pub(crate) fn rank_by_cycle_count(
 impl SnapshotIndex {
     /// The girth and shortest-cycle incidence count of the snapshotted
     /// graph (same contract as [`CscIndex::girth`]), with the `O(n)` label
-    /// intersections evaluated in parallel on the frozen arena.
+    /// intersections evaluated in parallel on the frozen labels.
     pub fn girth(&self) -> Option<(u32, usize)> {
         girth_fold(self.query_all().into_iter())
     }
@@ -165,7 +165,7 @@ impl SnapshotIndex {
     /// The `k` most cycle-laden vertices among those whose shortest cycle
     /// is at most `max_length` (same contract and ordering as
     /// [`CscIndex::top_k_by_cycle_count`]), with the per-vertex queries
-    /// evaluated in parallel on the frozen arena.
+    /// evaluated in parallel on the frozen labels.
     pub fn top_k_by_cycle_count(&self, k: usize, max_length: u32) -> Vec<VertexCycles> {
         rank_by_cycle_count(self.query_all().into_iter(), k, max_length)
     }

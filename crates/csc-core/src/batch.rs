@@ -30,8 +30,9 @@
 //!    ([`UpdateReport::carriers_scanned`] stays zero on this path).
 //! 4. **One snapshot publication** — a
 //!    [`ConcurrentIndex::apply_batch`](crate::ConcurrentIndex::apply_batch)
-//!    caller republishes at most once per batch, by gathering the query
-//!    halves (see [`SnapshotIndex::freeze`](crate::SnapshotIndex::freeze)).
+//!    caller republishes at most once per batch, copying only the query
+//!    halves the batch changed (see
+//!    [`MaintenanceEngine::publish_from`](crate::MaintenanceEngine::publish_from)).
 //!
 //! ## Semantics
 //!

@@ -10,8 +10,8 @@
 //! [`ConcurrentIndex`] instead splits the two roles:
 //!
 //! * **Writers** hold the index lock, apply `insert_edge` / `remove_edge`,
-//!   and periodically *publish* an immutable [`SnapshotIndex`] (a gather
-//!   of the query halves into a flat arena, amortized by
+//!   and periodically *publish* an immutable [`SnapshotIndex`] (the query
+//!   halves, one shared slice per vertex, amortized by
 //!   [`CscConfig::snapshot_every`](crate::CscConfig::snapshot_every)).
 //! * **Readers** grab the current `Arc<SnapshotIndex>` — the only shared
 //!   state they touch is the publication slot, whose critical section is a
@@ -27,10 +27,13 @@
 //! semantics are required (those take the index read lock like the old
 //! design did).
 //!
-//! Every publication is a full gather of `Lout(v_o)` and `Lin(v_i)` from
-//! the live label store ([`SnapshotIndex::freeze`]); it reads nothing of
-//! the snapshot it replaces and mutates nothing, so the write path keeps
-//! no publication bookkeeping. Batches
+//! Every publication starts from the snapshot it replaces
+//! ([`MaintenanceEngine::publish_from`]): a vertex whose `Lout(v_o)` and
+//! `Lin(v_i)` did not change since then keeps that snapshot's shared
+//! slice, and only the changed vertices are copied out of the live label
+//! store, which marks them as it mutates. A publication therefore copies
+//! in proportion to what the updates touched, not to the index size.
+//! Batches
 //! ([`apply_batch`](ConcurrentIndex::apply_batch)) publish at most once
 //! per call, no matter how many updates they carry.
 //!
@@ -414,16 +417,18 @@ impl ConcurrentIndex {
         }
     }
 
-    /// Gathers the live index's query halves into a new snapshot and
-    /// swaps it into the publication slot. The gather runs outside the
-    /// slot's lock; readers wait only for the pointer swap.
+    /// Publishes the live index's query halves as a new snapshot, seeded
+    /// by the one currently served, and swaps it into the publication
+    /// slot. The build runs outside the slot's lock; readers wait only
+    /// for the pointer swap.
     fn publish(&self, engine: &mut MaintenanceEngine) {
         if engine.is_degraded() {
             // Freezing a poisoned index would publish torn labels; the
             // last good snapshot keeps serving instead.
             return;
         }
-        let fresh = Arc::new(engine.publish_from(None));
+        let served = self.snapshot();
+        let fresh = Arc::new(engine.publish_from(Some(&served)));
         *self.snapshot.write() = fresh;
         self.pending.store(0, Ordering::Relaxed);
         self.published.fetch_add(1, Ordering::Relaxed);
@@ -760,7 +765,7 @@ mod tests {
         let report = shared.rejuvenate().unwrap();
         assert_eq!(report.replayed, 0);
         // Rejuvenation *must* publish even under snapshot_every = 0: the
-        // old arena is retired with the old label store.
+        // old snapshot describes the retired label store.
         assert_eq!(shared.query(VertexId(0)).unwrap().length, 4);
         assert_eq!(shared.snapshot_stats().published, 2);
     }

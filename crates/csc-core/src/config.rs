@@ -134,12 +134,6 @@ pub enum OverloadPolicy {
     /// and count it in [`IndexHealth::writes_rejected`](crate::IndexHealth::writes_rejected).
     /// The caller owns the retry; readers see zero added latency.
     Reject,
-    /// Admit the write by dropping the *oldest* queued update, counted in
-    /// [`IndexHealth::writes_shed`](crate::IndexHealth::writes_shed).
-    /// **Lossy**: the index diverges from the full update stream, which
-    /// only suits workloads that tolerate approximate freshness. The shed
-    /// counter is the loud part of the contract.
-    ShedOldest,
 }
 
 /// Backpressure on the maintenance plane's pending-write queue.
@@ -292,10 +286,10 @@ pub struct CscConfig {
     /// applied update count — but a batch publishes at most once, at its
     /// end.
     ///
-    /// Publication is incremental (only the label lists dirtied since the
-    /// last snapshot are re-frozen; the rest of the arena is carried over
-    /// by a flat copy), but still costs an arena copy — so the default of
-    /// `8` amortizes it over a burst while bounding snapshot-reader
+    /// Publication is incremental (only the vertices whose query halves
+    /// changed since the last snapshot are copied; the rest share the
+    /// served snapshot's slices), but still walks every vertex — so the
+    /// default of `8` amortizes it over a burst while bounding snapshot-reader
     /// staleness at 7 updates. Set `1` to republish after every update or
     /// batch (readers at most one batch stale), or `0` to disable
     /// automatic republication entirely and call

@@ -166,10 +166,6 @@ pub struct IndexHealth {
     /// Writes refused by [`OverloadPolicy::Reject`](crate::OverloadPolicy)
     /// at the high watermark, over the engine's lifetime.
     pub writes_rejected: u64,
-    /// Queued updates dropped by
-    /// [`OverloadPolicy::ShedOldest`](crate::OverloadPolicy) — the loud
-    /// record of lossy admission.
-    pub writes_shed: u64,
     /// Tracked heap footprint in bytes (label lists + traversal
     /// workspaces + replay queue) as of the last enforcement pass; `0`
     /// until a memory budget is configured.
@@ -235,12 +231,8 @@ impl fmt::Display for IndexHealth {
             self.replay_queued,
             if self.rebuilding { " [rebuilding]" } else { "" },
         )?;
-        if self.writes_rejected > 0 || self.writes_shed > 0 {
-            write!(
-                f,
-                ", rejected {}, shed {}",
-                self.writes_rejected, self.writes_shed
-            )?;
+        if self.writes_rejected > 0 {
+            write!(f, ", rejected {}", self.writes_rejected)?;
         }
         if self.saturated {
             write!(f, " [saturated at {} bytes]", self.memory_bytes)?;
@@ -273,7 +265,6 @@ mod tests {
             replay_queued: 0,
             rebuilding: false,
             writes_rejected: 0,
-            writes_shed: 0,
             memory_bytes: 0,
             saturated: false,
             durability_degraded: false,

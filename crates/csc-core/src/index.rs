@@ -9,6 +9,7 @@ use crate::stats::IndexStats;
 use csc_graph::bipartite::{in_vertex, out_vertex, BipartiteGraph};
 use csc_graph::{Csr, DiGraph, OrderingStrategy, RankTable, TraversalWorkspace, VertexId};
 use csc_labeling::{BuildStats, CycleCount, DistCount, LabelEntry, LabelSide, Labels};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A dynamic shortest-cycle-counting index (the paper's CSC).
@@ -30,7 +31,8 @@ use std::time::Instant;
 /// ```
 pub struct CscIndex {
     pub(crate) gb: BipartiteGraph,
-    pub(crate) ranks: RankTable,
+    /// Shared with every snapshot published since the last change.
+    pub(crate) ranks: Arc<RankTable>,
     pub(crate) labels: Labels,
     pub(crate) inverted: Option<InvertedIndex>,
     pub(crate) config: CscConfig,
@@ -85,7 +87,7 @@ impl CscIndex {
         config.validate()?;
         let start = Instant::now();
         let gb = BipartiteGraph::from_graph(g);
-        let ranks = RankTable::build(g, config.order).bipartite_order();
+        let ranks = Arc::new(RankTable::build(g, config.order).bipartite_order());
         let csr = Csr::from_digraph(gb.graph());
         let mut counters = TraversalCounters::default();
         let labels = build_labels(&csr, &ranks, &mut counters, config.parallelism)?;
@@ -155,8 +157,9 @@ impl CscIndex {
     pub fn add_vertex(&mut self) -> VertexId {
         let v = self.gb.add_original_vertex();
         let (vi, vo) = (in_vertex(v), out_vertex(v));
-        self.ranks.push_lowest();
-        self.ranks.push_lowest();
+        let ranks = Arc::make_mut(&mut self.ranks);
+        ranks.push_lowest();
+        ranks.push_lowest();
         debug_assert_eq!(self.ranks.vertex_at_rank(self.ranks.len() as u32 - 2), vi);
         self.labels.push_vertex();
         self.labels.push_vertex();
@@ -299,7 +302,6 @@ impl CscIndex {
             replay_queued: 0,
             rebuilding: false,
             writes_rejected: 0,
-            writes_shed: 0,
             memory_bytes: 0,
             saturated: false,
             durability_degraded: false,

@@ -6,7 +6,7 @@
 //! [`MaintenanceEngine`] unifies them behind one state machine:
 //!
 //! ```text
-//!            writes apply directly, snapshots gather the query halves
+//!            writes apply directly, snapshots share unchanged slices
 //!           ┌───────────┐
 //!           │  Serving  │◄───────────────────────────────┐
 //!           └─────┬─────┘                                │
@@ -42,9 +42,8 @@
 //!   **replay queue** (their validity is resolved at replay with the
 //!   skip-invalid semantics of [`apply_batch`](CscIndex::apply_batch));
 //! * on completion the queue is replayed onto the new index and the
-//!   engine swaps it in; the next publication gathers from the new label
-//!   store like any other (a publication never reads the snapshot it
-//!   replaces).
+//!   engine swaps it in; the new label store shares nothing with the
+//!   served snapshot, so the next publication copies every vertex.
 //!
 //! [`ConcurrentIndex`](crate::ConcurrentIndex) is a thin facade over this
 //! engine: it adds the lock layout and the publication slot, nothing else.
@@ -66,6 +65,7 @@ use csc_labeling::BuildStats;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Renders a caught panic payload as a human-readable message (panics
@@ -270,9 +270,6 @@ pub struct MaintenanceEngine {
     durability_degraded: Option<String>,
     /// Writes refused under [`OverloadPolicy::Reject`], lifetime.
     writes_rejected: u64,
-    /// Queued updates dropped under [`OverloadPolicy::ShedOldest`],
-    /// lifetime.
-    writes_shed: u64,
     /// Tracked heap footprint as of the last measurement (`0` until a
     /// memory budget is configured).
     memory_bytes: usize,
@@ -303,7 +300,6 @@ impl MaintenanceEngine {
             durability: None,
             durability_degraded: None,
             writes_rejected: 0,
-            writes_shed: 0,
             memory_bytes: 0,
             saturated: false,
             wal_truncated_total: 0,
@@ -393,7 +389,6 @@ impl MaintenanceEngine {
             replay_queued: self.replay.len(),
             rebuilding: self.is_rebuilding(),
             writes_rejected: self.writes_rejected,
-            writes_shed: self.writes_shed,
             memory_bytes: self.memory_bytes,
             saturated: self.saturated,
             durability_degraded: self.durability_degraded.is_some(),
@@ -590,22 +585,6 @@ impl MaintenanceEngine {
                     queued: self.replay.len(),
                     limit: cfg.high_watermark as usize,
                 })
-            }
-            OverloadPolicy::ShedOldest => {
-                // Lossy: drop the oldest queued updates down to the low
-                // watermark. They were WAL-logged when accepted, so a
-                // recovery replays them anyway — the documented
-                // divergence of this mode (`docs/ARCHITECTURE.md`).
-                while !cfg.under_low(self.replay.len()) {
-                    let Some(u) = self.replay.pop_front() else {
-                        break;
-                    };
-                    if u == GraphUpdate::AddVertex {
-                        self.queued_vertices -= 1;
-                    }
-                    self.writes_shed += 1;
-                }
-                Ok(())
             }
         }
     }
@@ -1046,7 +1025,10 @@ impl MaintenanceEngine {
         let rejuvenations = self.index.baseline.rejuvenations + 1;
         let mut fresh = CscIndex {
             gb: self.index.gb.clone(),
-            ranks: std::mem::replace(&mut task.ranks, RankTable::from_order(&[])),
+            ranks: Arc::new(std::mem::replace(
+                &mut task.ranks,
+                RankTable::from_order(&[]),
+            )),
             labels,
             inverted,
             config,
@@ -1106,13 +1088,17 @@ impl MaintenanceEngine {
         Ok(())
     }
 
-    /// Produces the next snapshot to publish: a full gather of the live
-    /// index's query halves ([`SnapshotIndex::freeze`]). `prev`, the
-    /// snapshot currently served, is not read — nothing is patched into
-    /// it, so a publication is the same after a rejuvenation swap or a
-    /// recovery as in the steady state.
-    pub fn publish_from(&mut self, _prev: Option<&SnapshotIndex>) -> SnapshotIndex {
-        self.index.freeze()
+    /// Produces the next snapshot to publish. `prev` should be the
+    /// snapshot currently served: when it is this engine's latest
+    /// publication of the live label store, every vertex whose query
+    /// halves did not change since then shares `prev`'s slice, and only
+    /// the changed vertices are copied. Any other `prev` — `None`, an
+    /// older or foreign snapshot, or one published before a rejuvenation
+    /// swap, a deletion rebuild, a recovery or vertex growth replaced or
+    /// reshaped the store — copies every vertex. The result equals
+    /// [`SnapshotIndex::freeze`] of the live index either way.
+    pub fn publish_from(&mut self, prev: Option<&SnapshotIndex>) -> SnapshotIndex {
+        SnapshotIndex::publish(&mut self.index, prev)
     }
 
     /// Reconstructs an engine from a durability directory: loads the
@@ -1292,7 +1278,6 @@ impl MaintenanceEngine {
             fresh.stats.recoveries += 1;
             // Lifetime overload/durability counters survive the swap.
             fresh.writes_rejected = self.writes_rejected;
-            fresh.writes_shed = self.writes_shed;
             fresh.wal_truncated_total = fresh
                 .wal_truncated_total
                 .saturating_add(self.wal_truncated_total);
@@ -1503,27 +1488,6 @@ mod tests {
     }
 
     #[test]
-    fn shed_oldest_drops_to_the_low_watermark_and_counts() {
-        let g = gnm(18, 48, 3);
-        let config = CscConfig::default().with_overload_policy(OverloadPolicy::ShedOldest, 4, 2);
-        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, config).unwrap());
-        engine.begin_rejuvenation(RebuildReason::Manual).unwrap();
-        engine.step(1).unwrap();
-        for k in 0..4u32 {
-            engine.insert_edge(VertexId(k), VertexId(k + 9)).unwrap();
-        }
-        // Queue at the high watermark: the next admission sheds the
-        // oldest entries down to the low watermark, then accepts.
-        engine.insert_edge(VertexId(4), VertexId(13)).unwrap();
-        let h = engine.health();
-        assert_eq!(h.writes_shed, 2);
-        assert_eq!(h.replay_queued, 3, "2 low-watermark survivors + the new op");
-        while engine.step(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
-        verify_index(engine.index()).unwrap();
-        assert_matches_fresh(&engine, "after shed-policy drain");
-    }
-
-    #[test]
     fn block_policy_drives_the_rebuild_inline() {
         let g = gnm(18, 48, 3);
         let config = CscConfig::default().with_overload_policy(OverloadPolicy::Block, 3, 1);
@@ -1538,7 +1502,7 @@ mod tests {
             );
         }
         let h = engine.health();
-        assert_eq!((h.writes_rejected, h.writes_shed), (0, 0), "lossless");
+        assert_eq!(h.writes_rejected, 0, "lossless");
         while engine.step(usize::MAX).unwrap() != MaintenanceStatus::Serving {}
         assert_matches_fresh(&engine, "after block-policy drain");
         verify_index(engine.index()).unwrap();
@@ -1638,7 +1602,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_from_gathers_the_live_state_across_a_swap() {
+    fn publish_from_equals_a_fresh_freeze_across_a_swap() {
         let g = directed_cycle(16);
         let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
         // Each publication equals a fresh freeze of the live state —
@@ -1663,6 +1627,57 @@ mod tests {
         engine.remove_edge(VertexId(0), VertexId(9)).unwrap();
         let fourth = engine.publish_from(Some(&third));
         check(&engine, &fourth);
+    }
+
+    #[test]
+    fn publish_from_shares_exactly_the_unchanged_vertices() {
+        use csc_graph::bipartite::{in_vertex, out_vertex};
+        let g = gnm(60, 180, 4);
+        let n = g.vertex_count() as u32;
+        let mut engine = MaintenanceEngine::new(CscIndex::build(&g, CscConfig::default()).unwrap());
+        let halves = |idx: &CscIndex, v: VertexId| {
+            let l = idx.labels();
+            (
+                l.out_of(out_vertex(v)).to_vec(),
+                l.in_of(in_vertex(v)).to_vec(),
+            )
+        };
+        let first = engine.publish_from(None);
+        let before: Vec<_> = (0..n)
+            .map(|v| halves(engine.index(), VertexId(v)))
+            .collect();
+        let window: Vec<GraphUpdate> = [(3, 41), (41, 7), (12, 55)]
+            .into_iter()
+            .filter(|&(a, b)| !g.has_edge(VertexId(a), VertexId(b)))
+            .map(|(a, b)| GraphUpdate::InsertEdge(VertexId(a), VertexId(b)))
+            .collect();
+        assert!(!window.is_empty());
+        engine.apply_batch(&window).unwrap();
+        let second = engine.publish_from(Some(&first));
+        assert_eq!(second.labels(), engine.index().freeze().labels());
+        let mut shared = 0;
+        for v in (0..n).map(VertexId) {
+            let unchanged = before[v.index()] == halves(engine.index(), v);
+            let reused = second.labels().shares_couple(first.labels(), v);
+            assert_eq!(reused, unchanged, "vertex {v}");
+            shared += usize::from(reused);
+        }
+        assert!(0 < shared && shared < n as usize, "{shared} of {n} shared");
+
+        // A stale seed (not the latest publication) rebuilds every slice.
+        let stale = engine.publish_from(Some(&first));
+        assert_eq!(stale.labels(), second.labels());
+        assert!((0..n).all(|v| !stale.labels().shares_couple(first.labels(), VertexId(v))));
+        // So does a foreign one: a second engine over a clone of the index.
+        let mut twin = MaintenanceEngine::new(engine.index().clone());
+        let foreign = twin.publish_from(Some(&stale));
+        assert_eq!(foreign.labels(), stale.labels());
+        assert!((0..n).all(|v| !foreign.labels().shares_couple(stale.labels(), VertexId(v))));
+        // The latest publication seeds the next, and the rank table is
+        // shared rather than copied.
+        let next = engine.publish_from(Some(&stale));
+        assert!((0..n).all(|v| next.labels().shares_couple(stale.labels(), VertexId(v))));
+        assert!(std::ptr::eq(next.ranks(), stale.ranks()));
     }
 
     #[test]

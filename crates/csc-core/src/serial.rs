@@ -244,7 +244,6 @@ impl CscIndex {
         config.put_u8(match self.config.overload.policy {
             OverloadPolicy::Block => 0,
             OverloadPolicy::Reject => 1,
-            OverloadPolicy::ShedOldest => 2,
         });
         config.put_u32_le(self.config.overload.high_watermark);
         config.put_u32_le(self.config.overload.low_watermark);
@@ -446,8 +445,9 @@ impl CscIndex {
                 .map_err(|_| CscError::Serial("memory_budget exceeds usize".into()))?;
             let policy = match p.get_u8() {
                 0 => OverloadPolicy::Block,
-                1 => OverloadPolicy::Reject,
-                2 => OverloadPolicy::ShedOldest,
+                // 2 was a lossy shed-oldest policy, since removed: its
+                // checkpoints load refusing writes at the watermark.
+                1 | 2 => OverloadPolicy::Reject,
                 other => return Err(CscError::Serial(format!("unknown overload policy {other}"))),
             };
             let overload = OverloadConfig {
@@ -529,11 +529,7 @@ impl CscIndex {
             ));
         }
 
-        let ranks = if order.is_empty() {
-            RankTable::from_order(&[])
-        } else {
-            RankTable::from_order(&order)
-        };
+        let ranks = std::sync::Arc::new(RankTable::from_order(&order));
         let gb = BipartiteGraph::from_graph(&g);
         let inverted = maintain_inverted.then(|| InvertedIndex::from_labels(&labels));
         Ok(CscIndex {
@@ -723,6 +719,41 @@ mod tests {
         assert_eq!(back.config().memory_budget, 64 << 20);
         assert_eq!(back.config().overload.policy, OverloadPolicy::Reject);
         assert_eq!(back.config().durability.io_retry.max_attempts, 6);
+    }
+
+    #[test]
+    fn retired_shed_policy_tag_loads_as_reject() {
+        let config = CscConfig::default().with_overload_policy(OverloadPolicy::Block, 512, 128);
+        let idx = CscIndex::build(&figure2(), config).unwrap();
+        let mut bytes = idx.to_bytes().unwrap().to_vec();
+        // Walk the framing to the config section; the policy byte follows
+        // the memory budget at the head of its trailing 37-byte group.
+        let mut off = 16;
+        for _ in 0..3 {
+            let len = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap());
+            off += 13 + len as usize;
+        }
+        assert_eq!(bytes[off], TAG_CONFIG);
+        let len = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap()) as usize;
+        let field = off + 13 + len - 37 + 8;
+        assert_eq!(bytes[field], 0, "Block's tag");
+        bytes[field] = 2;
+        let crc = crc32(&bytes[off + 13..off + 13 + len]);
+        bytes[off + 9..off + 13].copy_from_slice(&crc.to_le_bytes());
+        let back = CscIndex::from_bytes(&bytes).unwrap();
+        let overload = back.config().overload;
+        assert_eq!(overload.policy, OverloadPolicy::Reject);
+        assert_eq!(
+            (overload.high_watermark, overload.low_watermark),
+            (512, 128)
+        );
+        bytes[field] = 3;
+        let crc = crc32(&bytes[off + 13..off + 13 + len]);
+        bytes[off + 9..off + 13].copy_from_slice(&crc.to_le_bytes());
+        assert!(
+            CscIndex::from_bytes(&bytes).is_err(),
+            "unknown tags still refuse"
+        );
     }
 
     #[test]

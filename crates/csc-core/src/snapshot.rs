@@ -1,7 +1,7 @@
 //! Immutable point-in-time query engines frozen from a [`CscIndex`].
 //!
 //! A [`SnapshotIndex`] packages everything the `SCCnt` read path needs —
-//! the frozen label arena, the bipartite rank table, and the original
+//! the frozen query halves, the bipartite rank table, and the original
 //! vertex count — with no interior mutability. Because it is immutable it
 //! is `Sync` for free: share one behind an `Arc` across any number of
 //! reader threads and every query runs lock-free, while the writer keeps
@@ -9,26 +9,29 @@
 //! [`ConcurrentIndex`](crate::ConcurrentIndex) for the publication
 //! machinery).
 //!
-//! Queries evaluate on [`FrozenLabels`]: one contiguous arena holding
-//! only the two lists a cycle query intersects — `Lout(v_o)` directly
-//! followed by `Lin(v_i)` for every original vertex `v` — driven by the
-//! adaptive (branchless merge / galloping) kernel. This is the paper's
-//! §IV-E index reduction applied where it is exact even after updates:
-//! `SCCnt` never reads the other two halves, so they are never copied.
-//! The equivalence of this path with `CscIndex::query` is property-tested
-//! in `csc-labeling/tests/frozen_equivalence.rs`.
+//! Queries evaluate on [`FrozenLabels`]: per original vertex `v`, one
+//! immutable shared slice holding only the two lists a cycle query
+//! intersects — `Lout(v_o)` directly followed by `Lin(v_i)` — driven by
+//! the adaptive (branchless merge / galloping) kernel. This is the
+//! paper's §IV-E index reduction applied where it is exact even after
+//! updates: `SCCnt` never reads the other two halves, so they are never
+//! copied. The equivalence of this path with `CscIndex::query` is
+//! property-tested in `csc-labeling/tests/frozen_equivalence.rs`.
 //!
-//! Every snapshot is a full gather of those halves from the live label
-//! store ([`SnapshotIndex::freeze`]), `O(query-half entries + n)`: there
-//! is no patching against a previous snapshot, so no dead space and no
-//! publication bookkeeping on the write path.
+//! [`SnapshotIndex::freeze`] copies every vertex's slice. A publication
+//! ([`MaintenanceEngine::publish_from`](crate::MaintenanceEngine::publish_from))
+//! instead starts from the snapshot it replaces: vertices whose query
+//! halves did not change since then keep that snapshot's slice, and only
+//! the changed ones are copied, so a publication copies in proportion to
+//! what the updates touched (it still visits every vertex once). The rank
+//! table is shared by `Arc` in the same way.
 
 use crate::health::{HealthBaseline, IndexHealth};
 use crate::index::CscIndex;
-use csc_graph::bipartite::{in_vertex, out_vertex};
 use csc_graph::{RankTable, VertexId};
-use csc_labeling::{CycleCount, DistCount, FrozenLabels, LabelSide, LabelStore};
+use csc_labeling::{intersect_adaptive, CycleCount, DistCount, FrozenLabels, LabelSide};
 use rayon::prelude::*;
+use std::sync::Arc;
 
 /// An immutable snapshot of a [`CscIndex`]'s query state.
 ///
@@ -54,38 +57,42 @@ use rayon::prelude::*;
 #[derive(Clone, Debug)]
 pub struct SnapshotIndex {
     frozen: FrozenLabels,
-    ranks: RankTable,
+    ranks: Arc<RankTable>,
     original_n: usize,
     updates_applied: u64,
     /// The source index's drift baseline at freeze time, so the snapshot
     /// can report its own [`health`](SnapshotIndex::health).
     baseline: HealthBaseline,
     /// `[in, out]` entries of the labelling this snapshot was frozen from
-    /// (the arena holds only the query halves of it).
+    /// (the slices hold only the query halves of it).
     source_entries: [usize; 2],
 }
 
 impl SnapshotIndex {
-    /// Freezes the current state of `index` by gathering its query
-    /// halves in couple order — `Lout(v_o)` directly followed by
-    /// `Lin(v_i)` for every original vertex `v` — so each `SCCnt(v)`
-    /// intersection reads one contiguous, prefetcher-friendly region.
-    /// `O(query-half entries + n)`.
+    /// Freezes the current state of `index`: per original vertex `v`,
+    /// one slice with `Lout(v_o)` directly followed by `Lin(v_i)`, so each
+    /// `SCCnt(v)` intersection reads one contiguous region. Shares
+    /// nothing with earlier snapshots. `O(query-half entries + n)`.
     pub fn freeze(index: &CscIndex) -> Self {
-        let n = index.original_vertex_count();
-        let couple_halves = (0..n as u32).flat_map(|v| {
-            let v = VertexId(v);
-            [
-                (out_vertex(v), LabelSide::Out),
-                (in_vertex(v), LabelSide::In),
-            ]
-        });
+        Self::assemble(index, FrozenLabels::freeze(&index.labels))
+    }
+
+    /// Publishes the current state of `index`, reusing `prev`'s slice for
+    /// every vertex whose query halves did not change since `prev` was
+    /// published — see [`FrozenLabels::publish`] for when `prev`
+    /// qualifies. Equal to [`freeze`](Self::freeze) either way.
+    pub(crate) fn publish(index: &mut CscIndex, prev: Option<&SnapshotIndex>) -> Self {
+        let frozen = FrozenLabels::publish(&mut index.labels, prev.map(|p| &p.frozen));
+        Self::assemble(index, frozen)
+    }
+
+    fn assemble(index: &CscIndex, frozen: FrozenLabels) -> Self {
         let labels = index.labels();
         let stats = index.stats();
         SnapshotIndex {
-            frozen: FrozenLabels::gather(labels, couple_halves),
-            ranks: index.ranks().clone(),
-            original_n: n,
+            frozen,
+            ranks: Arc::clone(&index.ranks),
+            original_n: index.original_vertex_count(),
             updates_applied: (stats.insertions + stats.deletions) as u64,
             baseline: *index.baseline(),
             source_entries: [
@@ -112,10 +119,8 @@ impl SnapshotIndex {
     /// The raw bipartite `(distance, count)` behind [`query`](Self::query).
     #[inline]
     pub fn query_raw(&self, v: VertexId) -> Option<DistCount> {
-        if v.index() >= self.original_n {
-            return None;
-        }
-        self.frozen.dist_count(out_vertex(v), in_vertex(v))
+        let (out, inn) = self.frozen.query_halves(v)?;
+        intersect_adaptive(out, inn)
     }
 
     /// `SCCnt` for a batch of vertices, evaluated in parallel. Output order
@@ -138,7 +143,7 @@ impl SnapshotIndex {
         self.original_n
     }
 
-    /// The frozen label arena. Only the query halves are stored:
+    /// The frozen labels. Only the query halves are stored:
     /// `out_of(v_o)` and `in_of(v_i)` per original vertex `v`; every other
     /// list reads as empty.
     pub fn labels(&self) -> &FrozenLabels {
@@ -151,12 +156,13 @@ impl SnapshotIndex {
     }
 
     /// Total label entries of the labelling the snapshot was frozen from
-    /// (the arena stores the query half of them).
+    /// (the snapshot stores the query half of them).
     pub fn total_entries(&self) -> usize {
         self.source_entries[0] + self.source_entries[1]
     }
 
-    /// Snapshot size in bytes (arena + spans).
+    /// Snapshot size in bytes: every slice it references, shared with
+    /// other snapshots or not, plus the per-vertex table.
     pub fn index_bytes(&self) -> usize {
         self.frozen.arena_bytes()
     }
@@ -188,7 +194,6 @@ impl SnapshotIndex {
             replay_queued: 0,
             rebuilding: false,
             writes_rejected: 0,
-            writes_shed: 0,
             memory_bytes: 0,
             saturated: false,
             durability_degraded: false,

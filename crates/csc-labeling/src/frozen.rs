@@ -2,20 +2,25 @@
 //! kernel.
 //!
 //! [`Labels`] is built for maintenance: per-vertex `Vec`s that grow,
-//! shrink, and splice cheaply. That layout is hostile to the read path —
-//! every query chases two `Vec` headers to separately allocated blocks,
-//! and entries of the vertices a cycle query touches together (`v_o`'s
-//! out-list and `v_i`'s in-list) land far apart on the heap.
+//! shrink, and splice cheaply, all four halves of the bipartite labelling
+//! side by side. A cycle query `SCCnt(v)` reads only two of them:
+//! `Lout(v_o)` and `Lin(v_i)` (couples `v_i = 2v`, `v_o = 2v + 1` under the
+//! bipartite id scheme).
 //!
-//! [`FrozenLabels`] is the serving-side counterpart: one contiguous
-//! CSR-style arena of [`LabelEntry`]s with a single span array, gathered
-//! from a `Labels` in one pass. [`gather`](FrozenLabels::gather) copies
-//! exactly the lists a reader needs, in the order it reads them: the cycle
-//! query engine in `csc-core` gathers only `Lout(v_o)` and `Lin(v_i)` per
-//! vertex (couples `v_i = 2v`, `v_o = 2v + 1` under the bipartite id
-//! scheme), back to back, so the two slices a `SCCnt(v)` query intersects
-//! share cache lines and the other half of the labelling is never copied.
-//! [`freeze`](FrozenLabels::freeze) gathers every list.
+//! [`FrozenLabels`] is the serving-side counterpart. It holds, per couple,
+//! one immutable shared slice (`Arc<[LabelEntry]>`): `Lout(v_o)` directly
+//! followed by `Lin(v_i)`, plus the split point. The two lists a query
+//! intersects share cache lines, and the other half of the labelling is
+//! never copied.
+//!
+//! Because each couple's slice is shared, a
+//! [`publish`](FrozenLabels::publish) from the previous snapshot costs a
+//! reference-count bump per couple whose query halves did not change,
+//! and a copy only for the couples the store marked dirty. A stamp on
+//! every published snapshot guards the reuse: only the store's own
+//! latest publication may seed the next one, and anything else falls
+//! back to building every couple. [`freeze`](FrozenLabels::freeze) is
+//! that full build.
 //!
 //! Both layouts answer queries through the [`LabelStore`] trait, whose
 //! default `dist_count` uses [`intersect_adaptive`]. The kernel picks a
@@ -39,9 +44,10 @@
 //! `tests/frozen_equivalence.rs`.
 
 use crate::entry::LabelEntry;
-use crate::labels::{label_slot, DistCount, LabelSide, Labels};
+use crate::labels::{DistCount, LabelSide, Labels, PublicationStamp};
 use csc_graph::budget::{BudgetExceeded, OpBudget};
 use csc_graph::VertexId;
+use std::sync::Arc;
 
 /// Length ratio at which [`intersect_adaptive`] switches from the merge to
 /// the galloping strategy.
@@ -133,115 +139,174 @@ impl LabelStore for Labels {
     }
 }
 
-/// An immutable, contiguous (CSR-style) label arena gathered from a
-/// [`Labels`].
-///
-/// One `Vec<LabelEntry>` holds every gathered list; per slot (vertex ×
-/// side) a `(start, end)` span addresses its slice, and lists that were
-/// not gathered read as empty. Gathering is `O(gathered entries + n)`;
-/// queries allocate nothing and touch exactly one slab.
+/// One couple's query halves in one shared slice: `Lout(v_o)` directly
+/// followed by `Lin(v_i)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FrozenLabels {
-    entries: Vec<LabelEntry>,
-    /// Indexed by [`label_slot`]: `2v` (in-list of `v`) / `2v + 1`
-    /// (out-list of `v`).
-    spans: Vec<(u32, u32)>,
+struct Couple {
+    halves: Arc<[LabelEntry]>,
+    /// Length of the `Lout(v_o)` prefix.
+    split: u32,
 }
 
-impl FrozenLabels {
-    /// Freezes every list of `labels` (per vertex: in-list, then
-    /// out-list).
-    pub fn freeze(labels: &Labels) -> Self {
-        let n = Labels::vertex_count(labels);
-        Self::gather(
-            labels,
-            (0..n as u32)
-                .flat_map(|v| [(VertexId(v), LabelSide::In), (VertexId(v), LabelSide::Out)]),
-        )
+impl Couple {
+    /// Copies couple `c`'s query halves out of `labels`.
+    fn gather(labels: &Labels, c: u32) -> Self {
+        let out = labels.out_of(VertexId(2 * c + 1));
+        let inn = labels.in_of(VertexId(2 * c));
+        Couple {
+            halves: out.iter().chain(inn).copied().collect(),
+            split: out.len() as u32,
+        }
     }
 
-    /// Gathers exactly the named `lists` of `labels`, laid out in the
-    /// given order; every list not named reads as empty. Lists a query
-    /// intersects together should be adjacent here — the arena then
-    /// serves that query as a single forward stream.
+    /// `(Lout(v_o), Lin(v_i))`.
+    #[inline]
+    fn halves(&self) -> (&[LabelEntry], &[LabelEntry]) {
+        self.halves.split_at(self.split as usize)
+    }
+}
+
+/// The query halves of a [`Labels`], frozen into one immutable shared
+/// slice per couple.
+///
+/// Couple `v` holds `Lout(v_o)` then `Lin(v_i)` (`v_i = 2v`,
+/// `v_o = 2v + 1`); through [`LabelStore`] those two lists read as stored
+/// and every other list reads as empty. Snapshots share the slices of
+/// couples that did not change between publications, so holding many
+/// snapshots costs little more than holding one. Equality compares the
+/// lists only, never the publication stamp.
+#[derive(Clone, Debug)]
+pub struct FrozenLabels {
+    couples: Vec<Couple>,
+    /// Entries over all couples.
+    entries: usize,
+    /// `Some` on a publication: the stamp the source store gave it.
+    stamp: Option<PublicationStamp>,
+}
+
+impl PartialEq for FrozenLabels {
+    fn eq(&self, other: &Self) -> bool {
+        self.couples == other.couples
+    }
+}
+
+impl Eq for FrozenLabels {}
+
+impl FrozenLabels {
+    /// Freezes the query halves of every couple of `labels`, sharing
+    /// nothing. `O(query-half entries + n)`.
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range vertex, on a list named twice, or if the
-    /// named lists hold `>= 2^32` entries (beyond the `u32` span encoding
-    /// — at 8 bytes per entry that is a 32 GiB arena).
-    pub fn gather<I>(labels: &Labels, lists: I) -> Self
-    where
-        I: IntoIterator<Item = (VertexId, LabelSide)>,
-        I::IntoIter: Clone,
-    {
-        let lists = lists.into_iter();
-        let total: usize = lists
-            .clone()
-            .map(|(v, side)| labels.side_of(v, side).len())
-            .sum();
-        assert!(
-            u32::try_from(total).is_ok(),
-            "label arena of {total} entries exceeds u32 spans"
-        );
-        let mut entries = Vec::with_capacity(total);
-        let mut spans = vec![(u32::MAX, u32::MAX); 2 * Labels::vertex_count(labels)];
-        for (v, side) in lists {
-            let slot = label_slot(v, side) as usize;
-            assert!(
-                spans[slot].0 == u32::MAX,
-                "gather names {v:?}/{side:?} twice"
-            );
-            let lo = entries.len() as u32;
-            entries.extend_from_slice(labels.side_of(v, side));
-            spans[slot] = (lo, entries.len() as u32);
-        }
-        for span in &mut spans {
-            if span.0 == u32::MAX {
-                *span = (0, 0);
-            }
-        }
-        FrozenLabels { entries, spans }
+    /// Panics if `labels` covers an odd number of vertices (it is not a
+    /// bipartite labelling).
+    pub fn freeze(labels: &Labels) -> Self {
+        Self::build(labels, None)
     }
 
-    /// Fraction of the arena no span addresses. Always `0.0`: a gathered
-    /// arena is written once and holds only the lists it serves.
+    /// Publishes the current query halves of `labels`.
+    ///
+    /// When `prev` is the latest publication of this very store, every
+    /// couple whose query halves did not change since then reuses `prev`'s
+    /// slice, and only the dirty couples are copied. Any other `prev` —
+    /// `None`, an older publication, one from another store or a clone, a
+    /// plain [`freeze`](Self::freeze), or one taken before the store grew
+    /// — builds every couple, exactly as `freeze` does. Either way the
+    /// store's dirty marks are cleared and the result carries the stamp
+    /// that lets it seed the next publication.
+    ///
+    /// # Panics
+    ///
+    /// As [`freeze`](Self::freeze).
+    pub fn publish(labels: &mut Labels, prev: Option<&FrozenLabels>) -> Self {
+        let reuse = prev.filter(|p| {
+            p.stamp == Some(labels.publication_stamp())
+                && 2 * p.couples.len() == Labels::vertex_count(labels)
+        });
+        let mut frozen = Self::build(labels, reuse);
+        frozen.stamp = Some(labels.end_publication());
+        frozen
+    }
+
+    /// Takes `reuse`'s slice for every clean couple and copies the rest.
+    fn build(labels: &Labels, reuse: Option<&FrozenLabels>) -> Self {
+        let n = Labels::vertex_count(labels);
+        assert!(
+            n.is_multiple_of(2),
+            "frozen couples need an even vertex count, got {n}"
+        );
+        let couples: Vec<Couple> = (0..n / 2)
+            .map(|c| match reuse {
+                Some(prev) if !labels.is_dirty(c) => prev.couples[c].clone(),
+                _ => Couple::gather(labels, c as u32),
+            })
+            .collect();
+        let entries = couples.iter().map(|c| c.halves.len()).sum();
+        FrozenLabels {
+            couples,
+            entries,
+            stamp: None,
+        }
+    }
+
+    /// `(Lout(v_o), Lin(v_i))` of original vertex `v`, or `None` past the
+    /// frozen couples.
+    #[inline]
+    pub fn query_halves(&self, v: VertexId) -> Option<(&[LabelEntry], &[LabelEntry])> {
+        self.couples.get(v.index()).map(Couple::halves)
+    }
+
+    /// Whether original vertex `v`'s slice is the very same allocation in
+    /// `self` and `other`, i.e. one publication reused it from the other.
+    pub fn shares_couple(&self, other: &FrozenLabels, v: VertexId) -> bool {
+        match (self.couples.get(v.index()), other.couples.get(v.index())) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.halves, &b.halves),
+            _ => false,
+        }
+    }
+
+    /// Fraction of the stored entries no list addresses. Always `0.0`:
+    /// every slice holds exactly its couple's query halves.
     pub fn dead_fraction(&self) -> f64 {
         0.0
     }
 
-    /// Size in bytes of the arena (entries + spans).
+    /// Bytes the snapshot references: every couple's entries and slice
+    /// header, shared or not, plus the couple table.
     pub fn arena_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<LabelEntry>()
-            + self.spans.len() * std::mem::size_of::<(u32, u32)>()
-    }
-
-    #[inline]
-    fn slice(&self, slot: usize) -> &[LabelEntry] {
-        let (lo, hi) = self.spans[slot];
-        &self.entries[lo as usize..hi as usize]
+        const ARC_COUNTS: usize = 2 * std::mem::size_of::<usize>();
+        self.entries * std::mem::size_of::<LabelEntry>()
+            + self.couples.len() * (std::mem::size_of::<Couple>() + ARC_COUNTS)
     }
 }
 
 impl LabelStore for FrozenLabels {
     #[inline]
     fn vertex_count(&self) -> usize {
-        self.spans.len() / 2
+        2 * self.couples.len()
     }
 
     #[inline]
     fn in_of(&self, v: VertexId) -> &[LabelEntry] {
-        self.slice(2 * v.index())
+        if v.0 & 1 == 0 {
+            self.couples[v.index() / 2].halves().1
+        } else {
+            &[]
+        }
     }
 
     #[inline]
     fn out_of(&self, v: VertexId) -> &[LabelEntry] {
-        self.slice(2 * v.index() + 1)
+        if v.0 & 1 == 1 {
+            self.couples[v.index() / 2].halves().0
+        } else {
+            &[]
+        }
     }
 
     #[inline]
     fn total_entries(&self) -> usize {
-        self.entries.len()
+        self.entries
     }
 }
 
@@ -443,59 +508,103 @@ mod tests {
         l
     }
 
-    #[test]
-    fn freeze_preserves_every_slice() {
-        let labels = sample_labels();
-        let frozen = FrozenLabels::freeze(&labels);
-        assert_eq!(LabelStore::vertex_count(&frozen), 4);
-        assert_eq!(LabelStore::total_entries(&frozen), 6);
-        for i in 0..4 {
-            assert_eq!(LabelStore::in_of(&frozen, v(i)), labels.in_of(v(i)));
-            assert_eq!(LabelStore::out_of(&frozen, v(i)), labels.out_of(v(i)));
-            for side in [LabelSide::In, LabelSide::Out] {
-                assert_eq!(
-                    LabelStore::side_of(&frozen, v(i), side),
-                    labels.side_of(v(i), side)
-                );
-            }
-        }
-        assert_eq!(frozen.arena_bytes(), 6 * 8 + 8 * 8);
+    /// Couple 0 is `(Lout(1), Lin(0))`, couple 1 is `(Lout(3), Lin(2))`.
+    fn couple_ids(c: u32) -> (VertexId, VertexId) {
+        (v(2 * c + 1), v(2 * c))
     }
 
     #[test]
-    fn gather_keeps_named_lists_and_empties_the_rest() {
+    fn freeze_keeps_the_query_halves_and_empties_the_rest() {
         let labels = sample_labels();
-        // Cycle-style pairing: out-list of 2v+1 next to in-list of 2v.
-        let couples = (0..2u32).flat_map(|v| {
-            [
-                (VertexId(2 * v + 1), LabelSide::Out),
-                (VertexId(2 * v), LabelSide::In),
-            ]
-        });
-        let frozen = FrozenLabels::gather(&labels, couples);
+        let frozen = FrozenLabels::freeze(&labels);
         assert_eq!(LabelStore::vertex_count(&frozen), 4);
-        for i in 0..2 {
-            let (vi, vo) = (v(2 * i), v(2 * i + 1));
+        for c in 0..2 {
+            let (vo, vi) = couple_ids(c);
             assert_eq!(LabelStore::in_of(&frozen, vi), labels.in_of(vi));
             assert_eq!(LabelStore::out_of(&frozen, vo), labels.out_of(vo));
+            assert_eq!(
+                LabelStore::side_of(&frozen, vi, LabelSide::In),
+                labels.in_of(vi)
+            );
             assert!(LabelStore::out_of(&frozen, vi).is_empty());
             assert!(LabelStore::in_of(&frozen, vo).is_empty());
+            assert_eq!(
+                frozen.query_halves(v(c)),
+                Some((labels.out_of(vo), labels.in_of(vi)))
+            );
             assert_eq!(
                 LabelStore::dist_count(&frozen, vo, vi),
                 labels.dist_count(vo, vi)
             );
         }
-        // Lin(0) + Lin(2) + Lout(1) + Lout(3): the arena holds nothing else.
+        assert_eq!(frozen.query_halves(v(2)), None);
+        // Lin(0) + Lin(2) + Lout(1) + Lout(3): the slices hold nothing else.
         assert_eq!(LabelStore::total_entries(&frozen), 2);
-        assert_eq!(frozen.arena_bytes(), 2 * 8 + 8 * 8);
+        assert_eq!(
+            frozen.arena_bytes(),
+            2 * 8 + 2 * (std::mem::size_of::<Couple>() + 16)
+        );
         assert_eq!(frozen.dead_fraction(), 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "twice")]
-    fn gather_rejects_duplicates() {
-        let labels = sample_labels();
-        let _ = FrozenLabels::gather(&labels, [(v(0), LabelSide::In), (v(0), LabelSide::In)]);
+    #[should_panic(expected = "even vertex count")]
+    fn freeze_rejects_odd_vertex_counts() {
+        let _ = FrozenLabels::freeze(&Labels::new(3));
+    }
+
+    #[test]
+    fn publish_shares_exactly_the_clean_couples() {
+        let mut labels = sample_labels();
+        let first = FrozenLabels::publish(&mut labels, None);
+        assert_eq!(first, FrozenLabels::freeze(&labels));
+        // A query half of couple 0, and halves no query reads on both.
+        labels.upsert(v(0), LabelSide::In, e(3, 2, 1));
+        labels.upsert(v(2), LabelSide::Out, e(3, 2, 1));
+        labels.upsert(v(3), LabelSide::In, e(3, 2, 1));
+        let second = FrozenLabels::publish(&mut labels, Some(&first));
+        assert_eq!(second, FrozenLabels::freeze(&labels));
+        assert!(!second.shares_couple(&first, v(0)), "dirty couple copied");
+        assert!(second.shares_couple(&first, v(1)), "clean couple shared");
+
+        // A stale seed shares nothing, even with nothing dirty.
+        let stale = FrozenLabels::publish(&mut labels, Some(&first));
+        assert_eq!(stale, second);
+        assert!((0..2).all(|c| !stale.shares_couple(&second, v(c))));
+        // The latest publication seeds the next one.
+        let latest = FrozenLabels::publish(&mut labels, Some(&stale));
+        assert!((0..2).all(|c| latest.shares_couple(&stale, v(c))));
+    }
+
+    #[test]
+    fn foreign_seeds_rebuild_every_couple() {
+        let mut labels = sample_labels();
+        let published = FrozenLabels::publish(&mut labels, None);
+        let shares_none = |f: &FrozenLabels| (0..2).all(|c| !f.shares_couple(&published, v(c)));
+
+        // A clone is another store, with its own publications.
+        let mut clone = labels.clone();
+        assert_eq!(clone, labels);
+        let from_clone = FrozenLabels::publish(&mut clone, Some(&published));
+        assert!(shares_none(&from_clone));
+        assert_eq!(from_clone, published);
+
+        // A plain freeze carries no stamp.
+        let frozen = FrozenLabels::freeze(&labels);
+        let mut again = sample_labels();
+        assert!(shares_none(&FrozenLabels::publish(
+            &mut again,
+            Some(&frozen)
+        )));
+
+        // Growth rebuilds, new couple included.
+        labels.push_vertex();
+        labels.push_vertex();
+        labels.append(v(5), LabelSide::Out, e(2, 1, 1));
+        let grown = FrozenLabels::publish(&mut labels, Some(&published));
+        assert!(shares_none(&grown));
+        assert_eq!(grown, FrozenLabels::freeze(&labels));
+        assert_eq!(LabelStore::vertex_count(&grown), 6);
     }
 
     #[test]
@@ -516,8 +625,10 @@ mod tests {
     fn trait_query_agrees_between_layouts() {
         let labels = sample_labels();
         let frozen = FrozenLabels::freeze(&labels);
-        for s in 0..4 {
-            for t in 0..4 {
+        // Every out-vertex against every in-vertex: the pairs whose
+        // halves the frozen layout stores.
+        for s in [1, 3] {
+            for t in [0, 2] {
                 let (s, t) = (v(s), v(t));
                 assert_eq!(
                     LabelStore::dist_count(&frozen, s, t),
@@ -537,8 +648,8 @@ mod tests {
         let labels = sample_labels();
         let frozen = FrozenLabels::freeze(&labels);
         let roomy = OpBudget::within(Duration::from_secs(3600));
-        for s in 0..4 {
-            for t in 0..4 {
+        for s in [1, 3] {
+            for t in [0, 2] {
                 let (s, t) = (v(s), v(t));
                 assert_eq!(
                     frozen.dist_count_budgeted(s, t, &roomy).unwrap(),
@@ -553,7 +664,7 @@ mod tests {
         }
         let expired = OpBudget::within(Duration::ZERO);
         assert_eq!(
-            frozen.dist_count_budgeted(v(0), v(1), &expired),
+            frozen.dist_count_budgeted(v(1), v(0), &expired),
             Err(BudgetExceeded)
         );
     }

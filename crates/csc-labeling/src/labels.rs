@@ -5,17 +5,20 @@
 //! sorted by hub rank. The query primitives implement the paper's
 //! Equations (1)–(2): a sorted two-pointer intersection that tracks the
 //! minimum combined distance and sums count products at that minimum.
+//!
+//! A store also keeps the bookkeeping that lets a
+//! [`FrozenLabels`](crate::FrozenLabels) publication share unchanged data
+//! with the previous one. Under the bipartite id scheme (`v_i = 2v`,
+//! `v_o = 2v + 1`) the *query halves* of couple `v` are `Lout(v_o)` and
+//! `Lin(v_i)`, the only lists a cycle query reads. Every mutation passes
+//! through one choke point, which marks the couple dirty when it touches
+//! a query half. A publication reads the dirty marks and then clears them
+//! ([`FrozenLabels::publish`](crate::FrozenLabels::publish)). Equality
+//! compares the lists only, never this bookkeeping.
 
 use crate::entry::{EntryOverflow, LabelEntry};
 use csc_graph::VertexId;
-
-/// Slot id of the `(vertex, side)` label list: `2v` for the in-list,
-/// `2v + 1` for the out-list. Addresses spans inside
-/// [`FrozenLabels`](crate::FrozenLabels).
-#[inline]
-pub fn label_slot(v: VertexId, side: LabelSide) -> u32 {
-    2 * v.0 + u32::from(side == LabelSide::Out)
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which side of a vertex's labels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -46,8 +49,18 @@ pub struct DistCount {
     pub count: u64,
 }
 
+/// Identifies one publication of one label store: the store's
+/// generation and the number of publications it has made. A snapshot
+/// may share data with the next publication only if it carries the
+/// store's current stamp.
+pub(crate) type PublicationStamp = (u64, u64);
+
+/// Source of store generations. Every constructed or cloned [`Labels`]
+/// takes a fresh one, so no two live stores share a generation.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
 /// Per-vertex in/out label lists, sorted by hub rank.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Labels {
     in_labels: Vec<Vec<LabelEntry>>,
     out_labels: Vec<Vec<LabelEntry>>,
@@ -56,7 +69,43 @@ pub struct Labels {
     /// `IndexHealth` — read on each `UpdateReport` — stay O(1) instead of
     /// re-summing `2n` vectors.
     side_count: [usize; 2],
+    /// This store's identity in publication stamps.
+    generation: u64,
+    /// Publications made from this store so far.
+    published: u64,
+    /// Per couple: a query half changed since the last publication.
+    dirty: Vec<bool>,
 }
+
+impl Clone for Labels {
+    /// Copies the lists under a fresh generation: no snapshot published
+    /// from `self` can seed a publication from the clone.
+    fn clone(&self) -> Self {
+        Labels {
+            in_labels: self.in_labels.clone(),
+            out_labels: self.out_labels.clone(),
+            side_count: self.side_count,
+            generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
+            published: 0,
+            dirty: self.dirty.clone(),
+        }
+    }
+}
+
+impl Default for Labels {
+    fn default() -> Self {
+        Labels::new(0)
+    }
+}
+
+impl PartialEq for Labels {
+    /// Compares the label lists only, never the publication bookkeeping.
+    fn eq(&self, other: &Self) -> bool {
+        self.in_labels == other.in_labels && self.out_labels == other.out_labels
+    }
+}
+
+impl Eq for Labels {}
 
 #[inline]
 fn side_ix(side: LabelSide) -> usize {
@@ -70,6 +119,9 @@ impl Labels {
             in_labels: vec![Vec::new(); n],
             out_labels: vec![Vec::new(); n],
             side_count: [0, 0],
+            generation: NEXT_GENERATION.fetch_add(1, Ordering::Relaxed),
+            published: 0,
+            dirty: vec![true; n.div_ceil(2)],
         }
     }
 
@@ -83,6 +135,7 @@ impl Labels {
     pub fn push_vertex(&mut self) {
         self.in_labels.push(Vec::new());
         self.out_labels.push(Vec::new());
+        self.dirty.resize(self.in_labels.len().div_ceil(2), true);
     }
 
     /// The in-label list of `v`.
@@ -106,11 +159,37 @@ impl Labels {
         }
     }
 
+    /// The one mutation choke point: every write to a list goes through
+    /// here, and a write to a query half (`Lin` of an even vertex, `Lout`
+    /// of an odd one) marks its couple dirty.
     fn side_mut(&mut self, v: VertexId, side: LabelSide) -> &mut Vec<LabelEntry> {
+        if (v.0 & 1 == 1) == (side == LabelSide::Out) {
+            self.dirty[v.index() / 2] = true;
+        }
         match side {
             LabelSide::In => &mut self.in_labels[v.index()],
             LabelSide::Out => &mut self.out_labels[v.index()],
         }
+    }
+
+    /// The stamp of this store's latest publication.
+    pub(crate) fn publication_stamp(&self) -> PublicationStamp {
+        (self.generation, self.published)
+    }
+
+    /// Whether a query half of couple `c` changed since the latest
+    /// publication.
+    #[inline]
+    pub(crate) fn is_dirty(&self, c: usize) -> bool {
+        self.dirty[c]
+    }
+
+    /// Records a publication: clears every dirty mark and returns the
+    /// stamp the new snapshot carries.
+    pub(crate) fn end_publication(&mut self) -> PublicationStamp {
+        self.dirty.fill(false);
+        self.published += 1;
+        self.publication_stamp()
     }
 
     /// Appends an entry whose hub rank is strictly greater than every
@@ -472,10 +551,31 @@ mod tests {
     }
 
     #[test]
-    fn slot_encoding() {
-        assert_eq!(label_slot(v(0), LabelSide::In), 0);
-        assert_eq!(label_slot(v(3), LabelSide::In), 6);
-        assert_eq!(label_slot(v(3), LabelSide::Out), 7);
+    fn dirty_marks_follow_query_halves_only() {
+        let mut l = Labels::new(4);
+        l.end_publication();
+        l.append(v(0), LabelSide::Out, e(0, 1, 1)); // Lout(v_i): not read
+        l.append(v(1), LabelSide::In, e(0, 1, 1)); // Lin(v_o): not read
+        assert!(!l.is_dirty(0));
+        l.append(v(3), LabelSide::Out, e(0, 1, 1)); // Lout(v_o) of couple 1
+        assert!(!l.is_dirty(0) && l.is_dirty(1));
+        l.remove(v(0), LabelSide::In, 9); // Lin(v_i) of couple 0
+        assert!(l.is_dirty(0));
+        let stamp = l.publication_stamp();
+        assert_eq!(l.end_publication(), (stamp.0, stamp.1 + 1));
+        assert!(!l.is_dirty(0) && !l.is_dirty(1));
+        l.push_vertex();
+        assert!(l.is_dirty(2), "a grown couple starts dirty");
+    }
+
+    #[test]
+    fn equality_ignores_publication_state_and_clones_restamp() {
+        let mut a = Labels::new(2);
+        a.append(v(0), LabelSide::In, e(0, 1, 1));
+        let b = a.clone();
+        a.end_publication();
+        assert_eq!(a, b);
+        assert_ne!(a.publication_stamp().0, b.publication_stamp().0);
     }
 
     #[test]

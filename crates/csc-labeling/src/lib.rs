@@ -17,7 +17,8 @@
 //!
 //! Label storage is two-tier: [`Labels`] (nested per-vertex `Vec`s) is the
 //! mutable maintenance layout, and [`FrozenLabels`] is the read-optimized
-//! contiguous arena frozen from it for serving, with the adaptive
+//! serving layout frozen from it: the two query halves of each couple in
+//! one immutable slice, shared between snapshots while unchanged, with the adaptive
 //! intersection kernel ([`intersect_adaptive`]: branchless dual-chain
 //! merge + galloping). Both answer identically through the [`LabelStore`]
 //! trait — see the [`frozen`] module.
@@ -41,5 +42,5 @@ pub use entry::{EntryOverflow, LabelEntry, MAX_COUNT, MAX_DIST, MAX_HUB_RANK};
 pub use error::LabelingError;
 pub use frozen::{intersect_adaptive, FrozenLabels, LabelStore};
 pub use hpspc::{BuildStats, HpSpcIndex};
-pub use labels::{label_slot, DistCount, LabelSide, Labels};
+pub use labels::{DistCount, LabelSide, Labels};
 pub use state::{HubCache, SearchState, INF};

@@ -9,7 +9,7 @@
 //! | Layer | Crate | What it provides |
 //! |-------|-------|------------------|
 //! | [`graph`] | `csc-graph` | directed graphs, generators, orderings, bipartite conversion, BFS oracles |
-//! | [`labeling`] | `csc-labeling` | HP-SPC 2-hop shortest-path-counting labels, frozen label arenas + adaptive kernel, the BFS baseline |
+//! | [`labeling`] | `csc-labeling` | HP-SPC 2-hop shortest-path-counting labels, frozen per-vertex label slices + adaptive kernel, the BFS baseline |
 //! | [`index`] | `csc-core` | the CSC index: microsecond `SCCnt(v)` queries with incremental/decremental maintenance, plus lock-free snapshot serving (`SnapshotIndex` / `ConcurrentIndex`) |
 //!
 //! Reads are two-tier (see the README): the mutable index answers

@@ -45,7 +45,7 @@ fn readers_survive_churn_and_parallel_rebuilds() {
                         "reader {r}: watermark ran backwards ({applied} < {watermark})"
                     );
                     watermark = applied;
-                    // A pinned snapshot answers from one frozen arena: the
+                    // A pinned snapshot answers from one frozen state: the
                     // batch surface and per-vertex queries must agree with
                     // each other no matter what the writer is doing.
                     let all = snap.query_all();

@@ -1,9 +1,12 @@
 //! Every published snapshot is exactly a fresh freeze of the state it was
-//! published from: the same gathered query halves (`Lout(v_o)` then
-//! `Lin(v_i)` per vertex), byte for byte, whatever path led there —
-//! mixed insert/delete windows, a rejuvenation swap, or an in-place
-//! recovery. On a fresh build the arena holds exactly the entries the
-//! §IV-E index reduction keeps.
+//! published from: the same query halves (`Lout(v_o)` then `Lin(v_i)` per
+//! vertex), entry for entry, whatever path led there — mixed
+//! insert/delete/add-vertex windows, a deletion window that falls back to
+//! a full rebuild, an ordering migration and rejuvenation swap, an
+//! in-place recovery, or a publication seeded by another index's
+//! snapshot. A publication shares the previous snapshot's slices only
+//! where it may. On a fresh build the snapshot holds exactly the entries
+//! the §IV-E index reduction keeps.
 
 use csc::graph::generators;
 use csc::graph::traversal::shortest_cycle_oracle;
@@ -34,9 +37,9 @@ fn assert_published_equals_fresh(shared: &ConcurrentIndex, context: &str) {
 }
 
 /// A window of `len` valid updates derived from `seed`: deletions of
-/// present edges and insertions of absent ones, alternating by seed bit.
+/// present edges, insertions of absent ones, and now and then a new
+/// vertex wired into the graph by the insertions after it.
 fn window(graph: &DiGraph, seed: u64, len: usize) -> Vec<GraphUpdate> {
-    let n = graph.vertex_count() as u64;
     let mut g = graph.clone();
     let mut s = seed;
     let mut ops = Vec::new();
@@ -44,8 +47,12 @@ fn window(graph: &DiGraph, seed: u64, len: usize) -> Vec<GraphUpdate> {
         s = s
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
+        let n = g.vertex_count() as u64;
         let edges = g.edge_vec();
-        if s >> 63 == 1 && !edges.is_empty() {
+        if s.is_multiple_of(11) {
+            g.add_vertex();
+            ops.push(GraphUpdate::AddVertex);
+        } else if s >> 63 == 1 && !edges.is_empty() {
             let (a, b) = edges[(s >> 20) as usize % edges.len()];
             let (a, b) = (VertexId(a), VertexId(b));
             g.try_remove_edge(a, b).unwrap();
@@ -60,6 +67,21 @@ fn window(graph: &DiGraph, seed: u64, len: usize) -> Vec<GraphUpdate> {
         }
     }
     ops
+}
+
+/// Applies one window through `shared` and checks its publication.
+fn apply_and_check(shared: &ConcurrentIndex, seed: u64, len: usize, context: &str) -> BatchReport {
+    let graph = shared.with_read(|idx| idx.original_graph());
+    let report = shared.apply_batch(&window(&graph, seed, len)).unwrap();
+    assert_published_equals_fresh(shared, context);
+    report
+}
+
+/// How many vertices' slices `next` reused from `prev`.
+fn shared_vertices(next: &SnapshotIndex, prev: &SnapshotIndex) -> usize {
+    (0..next.original_vertex_count() as u32)
+        .filter(|&v| next.labels().shares_couple(prev.labels(), VertexId(v)))
+        .count()
 }
 
 #[test]
@@ -86,7 +108,7 @@ proptest! {
     fn every_publication_equals_a_fresh_freeze(
         n in 8usize..24,
         m_seed in any::<u64>(),
-        windows in proptest::collection::vec((any::<u64>(), 1usize..6), 1..8),
+        windows in proptest::collection::vec((any::<u64>(), 1usize..6), 1..16),
     ) {
         let m = (m_seed as usize) % (3 * n) + n;
         let g = generators::gnm(n, m, m_seed);
@@ -94,17 +116,92 @@ proptest! {
         let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
         assert_published_equals_fresh(&shared, "initial publication");
 
-        let half = windows.len() / 2;
+        let (third, two_thirds) = (windows.len() / 3, 2 * windows.len() / 3);
         for (k, &(seed, len)) in windows.iter().enumerate() {
-            let graph = shared.with_read(|idx| idx.original_graph());
-            shared.apply_batch(&window(&graph, seed, len)).unwrap();
-            assert_published_equals_fresh(&shared, &format!("window {k}"));
-            if k == half {
+            apply_and_check(&shared, seed, len, &format!("window {k}"));
+            if k == third {
                 shared.rejuvenate().unwrap();
                 assert_published_equals_fresh(&shared, "after the rejuvenation swap");
+            }
+            if k == two_thirds {
+                shared.set_order(OrderingStrategy::DegreeProduct).unwrap();
+                shared.refresh();
+                assert_published_equals_fresh(&shared, "after set_order");
+                shared.rejuvenate().unwrap();
+                assert_published_equals_fresh(&shared, "after the migration swap");
             }
         }
         shared.recover().unwrap();
         assert_published_equals_fresh(&shared, "after recover_in_place");
     }
+
+    #[test]
+    fn publications_seeded_by_a_clone_equal_a_fresh_freeze(
+        n in 8usize..20,
+        m_seed in any::<u64>(),
+        windows in proptest::collection::vec((any::<u64>(), 1usize..6), 1..6),
+    ) {
+        let m = (m_seed as usize) % (3 * n) + n;
+        let g = generators::gnm(n, m, m_seed);
+        let config = CscConfig::default().with_snapshot_every(1);
+        let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
+        for (k, &(seed, len)) in windows.iter().enumerate() {
+            apply_and_check(&shared, seed, len, &format!("original window {k}"));
+        }
+        // A twin over a clone of the live index, which then diverges.
+        let twin = ConcurrentIndex::new(shared.with_read(CscIndex::clone));
+        assert_published_equals_fresh(&twin, "twin's first publication");
+        for (k, &(seed, len)) in windows.iter().enumerate() {
+            apply_and_check(&twin, seed ^ 0x5eed, len, &format!("twin window {k}"));
+            apply_and_check(&shared, seed.rotate_left(7), len, &format!("original window {k}'"));
+        }
+        // An engine over another clone, seeded by each index's snapshot:
+        // neither is its own publication, so nothing is shared.
+        let mut engine = MaintenanceEngine::new(shared.with_read(CscIndex::clone));
+        for seed_from in [shared.snapshot(), twin.snapshot()] {
+            let published = engine.publish_from(Some(&seed_from));
+            let fresh = engine.index().freeze();
+            prop_assert_eq!(published.labels(), fresh.labels());
+            prop_assert_eq!(shared_vertices(&published, &seed_from), 0);
+        }
+    }
+}
+
+#[test]
+fn a_deletion_rebuild_fallback_republishes_every_vertex() {
+    // Removing half of a dense graph in one window trips the from-scratch
+    // rebuild fallback, which replaces the label store wholesale.
+    let g = generators::gnm(16, 64, 31);
+    let config = CscConfig::default().with_snapshot_every(1);
+    let shared = ConcurrentIndex::new(CscIndex::build(&g, config).unwrap());
+    apply_and_check(&shared, 3, 2, "warm-up window");
+    let before = shared.snapshot();
+    let graph = shared.with_read(|idx| idx.original_graph());
+    let removals: Vec<GraphUpdate> = graph
+        .edge_vec()
+        .into_iter()
+        .step_by(2)
+        .map(|(a, b)| GraphUpdate::RemoveEdge(VertexId(a), VertexId(b)))
+        .collect();
+    let report = shared.apply_batch(&removals).unwrap();
+    assert!(
+        report.repair.rebuild_fallbacks > 0,
+        "the window must fall back"
+    );
+    assert_published_equals_fresh(&shared, "after the rebuild fallback");
+    assert_eq!(shared_vertices(&shared.snapshot(), &before), 0);
+
+    // Sharing resumes on the next window: an insertion leaves most
+    // vertices untouched.
+    let after = shared.snapshot();
+    let graph = shared.with_read(|idx| idx.original_graph());
+    let (a, b) = (0..16u32)
+        .flat_map(|a| (0..16u32).map(move |b| (VertexId(a), VertexId(b))))
+        .find(|&(a, b)| a != b && !graph.has_edge(a, b))
+        .unwrap();
+    shared
+        .apply_batch(&[GraphUpdate::InsertEdge(a, b)])
+        .unwrap();
+    assert_published_equals_fresh(&shared, "after an insertion");
+    assert!(shared_vertices(&shared.snapshot(), &after) > 0);
 }
