@@ -153,7 +153,7 @@ pub struct ReplayStats {
     /// Deletion-repair time in merged count-subtraction passes.
     pub subtract: Duration,
     /// Deletion-repair time in the re-label regime (superset deletion,
-    /// upsert sweeps, or the rebuild fallback).
+    /// region re-labels, or the rebuild fallback).
     pub relabel: Duration,
     /// Windows that took the from-scratch rebuild fallback.
     pub rebuild_fallbacks: usize,

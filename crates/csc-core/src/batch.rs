@@ -21,9 +21,9 @@
 //!    first, then the window is classified *once* (shared pre/post
 //!    endpoint sweeps through the pooled traversal workspace) and each
 //!    affected hub runs at most one merged subtraction pass and one
-//!    re-label sweep per side for the whole window (see `csc-core::delete`
-//!    — the re-label sweeps dominate deletion cost, so merging them is
-//!    where batched deletions win). The deletion phase never scans label
+//!    region re-label per side for the whole window (see `csc-core::delete`
+//!    — the re-labels dominate deletion cost, so merging them is where
+//!    batched deletions win). The deletion phase never scans label
 //!    lists for carriers: when the index was built `with_inverted(false)`,
 //!    the inverted index is built on demand before the first batched
 //!    deletion and maintained incrementally from then on
@@ -95,7 +95,7 @@ pub struct BatchReport {
     /// the *whole* batch.
     pub insert_hub_union: usize,
     /// Distinct (hub, side) repair passes in the deletion phase —
-    /// subtraction passes plus re-label sweeps, each covering the whole
+    /// subtraction passes plus region re-labels, each covering the whole
     /// window. The per-edge engine this replaced ran a multiple of this
     /// that grew with the window size.
     pub delete_hub_union: usize,
@@ -426,8 +426,8 @@ impl CscIndex {
         report.vertices_added = norm.add_vertices;
 
         // Phase 2: net removals, repaired as one window (classification,
-        // merged subtraction, and one re-label sweep per affected hub for
-        // the whole lot). The hot path must never scan for carriers, so an
+        // merged subtraction, and one region re-label per demoted hub side
+        // for the whole lot). The hot path must never scan for carriers, so an
         // index built without the inverted structure gets one on demand
         // here — a one-time O(entries) build, maintained incrementally by
         // every write path afterwards.
@@ -645,6 +645,7 @@ impl CscIndex {
                     r,
                     vk,
                     seeds,
+                    None,
                     &mut report.repair,
                 )?;
             }

@@ -14,12 +14,8 @@
 //! into `L_out(u_o)` (this is exactly the entry a cycle query reads) and the
 //! traversal prunes there, since the only backward continuation would
 //! re-enter the hub.
-//!
-//! The same traversal, switched from append-only to upsert mode, is the
-//! re-labeling pass of decremental maintenance (`csc-core::delete`).
 
 use crate::config::ParallelismConfig;
-use crate::invert::InvertedIndex;
 use crate::parallel::par_map_indexed;
 use csc_graph::bipartite::{couple, is_in_vertex};
 use csc_graph::{Csr, DiGraph, RankTable, VertexId, WorkspacePool};
@@ -57,23 +53,10 @@ impl Adjacency for DiGraph {
     }
 }
 
-/// How label writes behave.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum WriteMode {
-    /// Push entries in hub-rank order (static construction: each hub's rank
-    /// exceeds all previously appended ones).
-    Append,
-    /// Insert-or-replace, skipping writes whose value is unchanged
-    /// (decremental re-labeling).
-    Upsert,
-}
-
 /// Counters for one or more traversals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct TraversalCounters {
     pub inserted: usize,
-    pub updated: usize,
-    pub unchanged: usize,
     pub pruned: usize,
     pub dequeues: usize,
     pub canonical: usize,
@@ -86,8 +69,6 @@ impl TraversalCounters {
     /// counters) into this one.
     pub(crate) fn merge(&mut self, other: &TraversalCounters) {
         self.inserted += other.inserted;
-        self.updated += other.updated;
-        self.unchanged += other.unchanged;
         self.pruned += other.pruned;
         self.dequeues += other.dequeues;
         self.canonical += other.canonical;
@@ -141,14 +122,13 @@ impl CoupleBfs {
         self.state.heap_bytes() + self.cache.heap_bytes()
     }
 
-    /// Writes one entry according to `mode`, maintaining the inverted index
-    /// and counters. Returns the error on capacity overflow.
+    /// Appends one entry — hubs run in rank order, so each hub's rank
+    /// exceeds every rank already in the list — and counts it. Returns the
+    /// error on capacity overflow.
     #[allow(clippy::too_many_arguments)]
     fn write(
         labels: &mut Labels,
-        inverted: Option<&mut InvertedIndex>,
         counters: &mut TraversalCounters,
-        mode: WriteMode,
         v: VertexId,
         side: LabelSide,
         hub: VertexId,
@@ -165,30 +145,8 @@ impl CoupleBfs {
         if entry.count_saturated() {
             counters.saturated += 1;
         }
-        match mode {
-            WriteMode::Append => {
-                labels.append(v, side, entry);
-                counters.inserted += 1;
-                if let Some(inv) = inverted {
-                    inv.add(side, hub_rank, v);
-                }
-            }
-            WriteMode::Upsert => {
-                if labels.entry_for(v, side, hub_rank) == Some(entry) {
-                    counters.unchanged += 1;
-                    return Ok(());
-                }
-                match labels.upsert(v, side, entry) {
-                    Some(_) => counters.updated += 1,
-                    None => {
-                        counters.inserted += 1;
-                        if let Some(inv) = inverted {
-                            inv.add(side, hub_rank, v);
-                        }
-                    }
-                }
-            }
-        }
+        labels.append(v, side, entry);
+        counters.inserted += 1;
         Ok(())
     }
 
@@ -201,10 +159,8 @@ impl CoupleBfs {
         graph: &impl Adjacency,
         ranks: &RankTable,
         labels: &mut Labels,
-        mut inverted: Option<&mut InvertedIndex>,
         counters: &mut TraversalCounters,
         hub: VertexId,
-        mode: WriteMode,
     ) -> Result<(), LabelingError> {
         debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
         let hub_rank = ranks.rank(hub);
@@ -251,23 +207,10 @@ impl CoupleBfs {
 
             // Label w and, via couple skipping, its outgoing couple.
             let wo = couple(w);
+            Self::write(labels, counters, w, LabelSide::In, hub, hub_rank, dw, cw)?;
             Self::write(
                 labels,
-                inverted.as_deref_mut(),
                 counters,
-                mode,
-                w,
-                LabelSide::In,
-                hub,
-                hub_rank,
-                dw,
-                cw,
-            )?;
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
-                counters,
-                mode,
                 wo,
                 LabelSide::In,
                 hub,
@@ -299,10 +242,8 @@ impl CoupleBfs {
         graph: &impl Adjacency,
         ranks: &RankTable,
         labels: &mut Labels,
-        mut inverted: Option<&mut InvertedIndex>,
         counters: &mut TraversalCounters,
         hub: VertexId,
-        mode: WriteMode,
     ) -> Result<(), LabelingError> {
         debug_assert!(is_in_vertex(hub), "hubs must be incoming vertices");
         let hub_rank = ranks.rank(hub);
@@ -319,18 +260,7 @@ impl CoupleBfs {
         state.visit(hub, 0, 1);
         counters.dequeues += 1;
         counters.canonical += 1;
-        Self::write(
-            labels,
-            inverted.as_deref_mut(),
-            counters,
-            mode,
-            hub,
-            LabelSide::Out,
-            hub,
-            hub_rank,
-            0,
-            1,
-        )?;
+        Self::write(labels, counters, hub, LabelSide::Out, hub, hub_rank, 0, 1)?;
         for &xo in graph.pred(hub) {
             let xo = VertexId(xo); // in V_out (self-loops are impossible)
             if hub_rank < ranks.rank(xo) {
@@ -359,18 +289,7 @@ impl CoupleBfs {
                 continue;
             }
 
-            Self::write(
-                labels,
-                inverted.as_deref_mut(),
-                counters,
-                mode,
-                w,
-                LabelSide::Out,
-                hub,
-                hub_rank,
-                dw,
-                cw,
-            )?;
+            Self::write(labels, counters, w, LabelSide::Out, hub, hub_rank, dw, cw)?;
             if w == hub_couple {
                 // The traversal closed a cycle back onto the hub's couple:
                 // this entry is the one SCCnt queries read. Continuing
@@ -387,9 +306,7 @@ impl CoupleBfs {
             let wi = couple(w);
             Self::write(
                 labels,
-                inverted.as_deref_mut(),
                 counters,
-                mode,
                 wi,
                 LabelSide::Out,
                 hub,
@@ -425,13 +342,12 @@ impl CoupleBfs {
     // scattered once up front), so collect-then-commit over the same
     // label state is behaviorally identical to the direct form.
     //
-    // The parallel build and repair waves exploit this: a wave of hubs is
+    // The parallel build waves exploit this: a wave of hubs is
     // collected concurrently against the pre-wave labels, then committed
     // in rank order. Because a wave member's compute view may be missing
     // the writes of same-wave higher-ranked hubs, its pruning can only be
-    // *weaker* than sequential (label writes are monotone under Append
-    // and Upsert — entries are only added or improved, so more committed
-    // labels mean more pruning, never less). Committing with
+    // *weaker* than sequential (label writes only append entries, so
+    // more committed labels mean more pruning, never less). Committing with
     // `validate: true` re-runs the prune scan against the
     // fully-committed prefix and drops every group the sequential pass
     // would have pruned; dropped groups take their whole buffered
@@ -597,9 +513,7 @@ impl CoupleBfs {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn commit_in(
         labels: &mut Labels,
-        mut inverted: Option<&mut InvertedIndex>,
         counters: &mut TraversalCounters,
-        mode: WriteMode,
         cache: &mut HubCache,
         hub: VertexId,
         hub_rank: u32,
@@ -638,9 +552,7 @@ impl CoupleBfs {
             }
             Self::write(
                 labels,
-                inverted.as_deref_mut(),
                 counters,
-                mode,
                 g.w,
                 LabelSide::In,
                 hub,
@@ -650,9 +562,7 @@ impl CoupleBfs {
             )?;
             Self::write(
                 labels,
-                inverted.as_deref_mut(),
                 counters,
-                mode,
                 couple(g.w),
                 LabelSide::In,
                 hub,
@@ -669,9 +579,7 @@ impl CoupleBfs {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn commit_out(
         labels: &mut Labels,
-        mut inverted: Option<&mut InvertedIndex>,
         counters: &mut TraversalCounters,
-        mode: WriteMode,
         cache: &mut HubCache,
         hub: VertexId,
         hub_rank: u32,
@@ -687,18 +595,7 @@ impl CoupleBfs {
             cache.put(hub_rank, 0, 1);
         }
         counters.canonical += 1;
-        Self::write(
-            labels,
-            inverted.as_deref_mut(),
-            counters,
-            mode,
-            hub,
-            LabelSide::Out,
-            hub,
-            hub_rank,
-            0,
-            1,
-        )?;
+        Self::write(labels, counters, hub, LabelSide::Out, hub, hub_rank, 0, 1)?;
         for g in groups {
             let mut tie = g.tie;
             if validate {
@@ -719,9 +616,7 @@ impl CoupleBfs {
             }
             Self::write(
                 labels,
-                inverted.as_deref_mut(),
                 counters,
-                mode,
                 g.w,
                 LabelSide::Out,
                 hub,
@@ -740,9 +635,7 @@ impl CoupleBfs {
             }
             Self::write(
                 labels,
-                inverted.as_deref_mut(),
                 counters,
-                mode,
                 couple(g.w),
                 LabelSide::Out,
                 hub,
@@ -823,24 +716,10 @@ impl LabelBuildTask {
             while self.next_rank < end {
                 let hub = ranks.vertex_at_rank(self.next_rank);
                 if is_in_vertex(hub) {
-                    self.bfs.run_in(
-                        csr,
-                        ranks,
-                        &mut self.labels,
-                        None,
-                        &mut self.counters,
-                        hub,
-                        WriteMode::Append,
-                    )?;
-                    self.bfs.run_out(
-                        csr,
-                        ranks,
-                        &mut self.labels,
-                        None,
-                        &mut self.counters,
-                        hub,
-                        WriteMode::Append,
-                    )?;
+                    self.bfs
+                        .run_in(csr, ranks, &mut self.labels, &mut self.counters, hub)?;
+                    self.bfs
+                        .run_out(csr, ranks, &mut self.labels, &mut self.counters, hub)?;
                 } else {
                     Self::vout_self_entries(&mut self.labels, &mut self.counters, hub, ranks)?;
                 }
@@ -891,9 +770,7 @@ impl LabelBuildTask {
                         let (_, cache) = self.bfs.parts_mut();
                         CoupleBfs::commit_in(
                             &mut self.labels,
-                            None,
                             &mut self.counters,
-                            WriteMode::Append,
                             cache,
                             hub,
                             hub_rank,
@@ -903,9 +780,7 @@ impl LabelBuildTask {
                         let (_, cache) = self.bfs.parts_mut();
                         CoupleBfs::commit_out(
                             &mut self.labels,
-                            None,
                             &mut self.counters,
-                            WriteMode::Append,
                             cache,
                             hub,
                             hub_rank,
@@ -984,7 +859,7 @@ mod tests {
         assert_eq!(
             counters.inserted,
             labels.total_entries(),
-            "append mode inserts exactly the stored entries"
+            "the build inserts exactly the stored entries"
         );
         (labels, ranks)
     }

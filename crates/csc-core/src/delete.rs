@@ -27,34 +27,71 @@
 //!   grew (detected exactly with pre/post-window BFS from the endpoints;
 //!   the post sweeps are truncated at the pre-sweep eccentricity, which
 //!   classifies every vertex without walking the post-deletion tail).
-//!   Their stale entries are deleted by the paper's superset rule —
-//!   evaluated against the union of the window's edges, so each carrier
-//!   list is scanned once per hub instead of once per edge, and widened
-//!   from "stored distance equals a crossing-path length" to "is at least
-//!   one", which also drops the dominated entries an earlier insertion
-//!   left behind (see below) — and the
-//!   couple-skipping pruned BFS of the static construction re-runs from
-//!   them **once per hub for the whole window** in descending rank order
-//!   in upsert mode: restoring over-deleted entries, refreshing changed
-//!   ones, and creating the newly-maximal hubs' entries. The descending
-//!   order keeps the pruning distance checks exact: they only consult
-//!   strictly higher-ranked hubs, which are unaffected, already
-//!   re-labeled, or only count-repaired (distances untouched). This phase
-//!   dominates deletion cost, so batching attacks it twice: the
-//!   per-window merge runs one pass per hub instead of one per hub per
-//!   edge, and a window that demotes more than
-//!   [`REBUILD_FALLBACK_PERCENT`] of all hub sides skips the sweeps
-//!   entirely in favor of a from-scratch label rebuild under the existing
-//!   rank order — exact by construction and cheaper than upsert-sweeping
-//!   most of the index. On the committed `BENCH_delete.json` workload the
-//!   fallback carries every window of 8+ deletions; the surgical merge
-//!   path is what single-edge windows and sparse windows exercise.
+//!   Such a hub side is repaired inside its *affected region* only, once
+//!   for the whole window, in descending rank order (below).
 //!
-//! All distance conditions are evaluated with plain BFS traversals from
-//! the edge endpoints — deliberately not with index lookups: the
-//! couple-skipped index legitimately does not cover `V_out`-source pairs
-//! whose maximum is the source itself, and an overestimate here could
-//! silently skip a stale entry. The sweeps run through the index's pooled
+//! **The affected region.** For a demoted forward side of hub `h` the
+//! region `R_h` holds the vertices `x` with
+//! `sd(h, a_o) + 1 + sd(b_i, x) ≤ d_L(h, x)` for some deleted edge
+//! `(a_o, b_i)`: the left side is the shortest pre-window walk from `h`
+//! to `x` over that edge, from the classification sweeps, and `d_L` is
+//! the label distance over the hubs ranked at or above `h` (the hub cache
+//! of `L_out(h)` against `L_in(x)`), read before any label changes. The
+//! backward side mirrors it with `sd(x, a_o) + 1 + sd(b_i, h)` against
+//! `d_L(x, h)`. Label distances never under-estimate, so `R_h` holds
+//! every vertex some pre-window shortest path from `h` reaches over a
+//! deleted edge. Every such vertex lies on a chain from the far end of
+//! the last deleted edge its path crosses, each step one hop longer, so
+//! the region is grown from each `b_i` (`a_o` backward) along those
+//! steps, through vertices of any rank.
+//!
+//! **Exactness.** Outside `R_h` no pre-window shortest path from `h`
+//! crossed a deleted edge, so none vanished, distances stayed, and —
+//! the graph only lost edges — none appeared: `h`'s entries there are
+//! final. Inside `R_h`, every post-window `h`-maximal shortest path
+//! splits at its last vertex `p` outside `R_h`, and `h`'s entry
+//! `(d_p, c_p)` there counts its prefixes exactly. So the re-label
+//! removes `h`'s entries inside `R_h` and runs one
+//! `repair::multi_source_pass` that never leaves `R_h`, seeded with
+//! `(q, d_p + 1, c_p)` for each post-window edge `p -> q` from outside
+//! into `R_h` below `h`: it re-inserts exactly `h`'s entries there, the
+//! dual of the insertion engine's first-new-edge decomposition. The
+//! descending rank order keeps the pass's pruning exact: it consults
+//! only hubs ranked above `h`, which are unaffected, already re-labeled,
+//! or only count-repaired (distances untouched).
+//!
+//! **Why the superset is safe.** `d_L` is exact on the pairs the
+//! couple-skipped index covers, which includes every pair whose vertex
+//! other than `h` ranks below `h`; elsewhere — a `V_out` vertex that
+//! outranks everything on its path to `h` — it can only over-estimate.
+//! An over-estimate only adds vertices to `R_h`, and the argument above
+//! needs no more than "`R_h` contains every crossed vertex and not `h`":
+//! a vertex added in excess has its entry removed and then re-inserted
+//! unchanged. The same holds for a count-repair side demoted for
+//! saturated counts (below), whose region is grown after the hubs above
+//! it were repaired.
+//!
+//! **Cost.** The superset rule — evaluated against the union of the
+//! window's edges, so each carrier list is scanned once per hub side, and
+//! widened from "stored distance equals a crossing-path length" to "is
+//! at least one" (see below) — removes every entry inside `R_h`, since
+//! `d_L(h, x)` is at most `h`'s own entry at `x`. The same scan checks
+//! whether any surviving entry borders a crossing walk below the hub (a
+//! seed's `q` has a crossing length of at most `d_p + 1`); a side with no
+//! such entry re-inserts nothing and its region is never grown. The
+//! passes then walk the regions below their hubs instead of the hubs'
+//! whole search spaces. A window whose grown regions together exceed
+//! [`REBUILD_FALLBACK_REGION_MULTIPLE`] times the bipartite vertex count
+//! stops growing them and rebuilds every label under the existing rank
+//! order instead — exact by construction. On the `BENCH_delete.json`
+//! workload that budget sends the windows of 8+ deletions to the
+//! rebuild; single-edge and sparse windows take the region path.
+//!
+//! The crossing lengths come from plain BFS traversals from the edge
+//! endpoints, not from index lookups: the couple-skipped index does not
+//! cover `V_out`-source pairs whose maximum is the source itself, and an
+//! over-estimated crossing length could silently skip a stale entry. The
+//! sweeps run through the index's pooled
 //! [`TraversalWorkspace`](csc_graph::TraversalWorkspace) (endpoints
 //! shared by several window edges are swept once) and stay allocation-free
 //! in the steady state.
@@ -72,7 +109,7 @@
 //! edge would undercut the true distance and report a phantom cycle. The
 //! widened superset rule removes every such entry of a re-label hub — the
 //! path it counts is at least as long as some crossing path — and the
-//! re-label sweep restores whatever is still canonical. Count-repair hubs
+//! region re-label restores whatever is still canonical. Count-repair hubs
 //! keep their leftovers: their distances do not change, so the leftovers
 //! stay dominated.
 //!
@@ -85,33 +122,35 @@
 //! label-identity contract is preserved by construction. The
 //! `batch_equivalence` suite pins both down.
 
-use crate::build::{build_labels, CoupleBfs, TraversalCounters, WriteMode};
+use crate::build::{build_labels, TraversalCounters};
+use crate::config::UpdateStrategy;
 use crate::error::CscError;
 use crate::index::CscIndex;
 use crate::invert::InvertedIndex;
-use crate::parallel::par_map_indexed;
-use crate::repair::{multi_source_subtract, Direction, Seed, SubtractOutcome};
+use crate::repair::{
+    fill_hub_cache, multi_source_pass, multi_source_subtract, Direction, Seed, SubtractOutcome,
+};
 use crate::stats::UpdateReport;
 use csc_graph::bipartite::{in_vertex, is_in_vertex, out_vertex};
 use csc_graph::{
-    Csr, DistMap, GraphError, SweepHandle, SweepMaps, VertexId, WorkspacePool, UNREACHED,
+    Csr, DiGraph, DistMap, GraphError, RankTable, SweepHandle, SweepMaps, VertexId, UNREACHED,
 };
-use csc_labeling::{LabelSide, LabelingError};
+use csc_labeling::{HubCache, LabelSide, LabelingError, Labels, SearchState};
 use std::collections::{BTreeMap, HashMap};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// When a window demotes more than this percentage of all hub sides to
-/// the re-label regime, `repair_deletions` rebuilds every label from
-/// scratch under the existing rank order instead of sweeping the demoted
-/// hubs one by one (see the fallback comment in the implementation).
-const REBUILD_FALLBACK_PERCENT: usize = 50;
+/// When the affected regions of a window's re-label hub sides hold more
+/// than this many vertices per bipartite vertex in total,
+/// `repair_deletions` rebuilds every label from scratch under the
+/// existing rank order instead of re-labeling the regions one by one.
+const REBUILD_FALLBACK_REGION_MULTIPLE: usize = 6;
 
 /// Window-level accounting the batch engine surfaces in
 /// [`BatchReport`](crate::BatchReport).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct DeletionRepairStats {
     /// Distinct (hub, side) repair passes across the window — subtraction
-    /// passes plus re-label sweeps. The per-edge sum this replaces is
+    /// passes plus region re-labels. The per-edge sum this replaces is
     /// `affected_hubs`-shaped and grows with the window size; this union
     /// does not.
     pub hub_union: usize,
@@ -164,6 +203,222 @@ fn resolve_views<'a>(
             }
         })
         .collect()
+}
+
+/// One deleted edge seen from a hub side: the crossing-walk length up to
+/// and over the edge (`sd(h, a_o) + 1` for in-labels, `sd(b_i, h) + 1`
+/// for out-labels), the far endpoint where the walk continues (`b_i`,
+/// resp. `a_o`), and the pre-window distances onward from it (`sd(b_i, ·)`,
+/// resp. `sd(·, a_o)`).
+type Crossing<'a> = (u32, VertexId, &'a DistMap);
+
+/// Collects the window's crossings for a hub side whose pass writes
+/// `side`, skipping the deleted edges the hub does not reach. All
+/// distances are pre-window.
+fn crossings<'a>(views: &[EdgeSweeps<'a>], side: LabelSide, hub: VertexId) -> Vec<Crossing<'a>> {
+    views
+        .iter()
+        .filter_map(|ev| {
+            let (dh, start, onward) = match side {
+                LabelSide::In => (ev.to_ao.get(hub), ev.bi, ev.from_bi),
+                LabelSide::Out => (ev.from_bi.get(hub), ev.ao, ev.to_ao),
+            };
+            match dh {
+                UNREACHED => None,
+                dh => Some((dh + 1, start, onward)),
+            }
+        })
+        .collect()
+}
+
+/// The length of the shortest pre-window walk between the hub and `x` that
+/// crosses a deleted edge ([`UNREACHED`] when none does).
+#[inline]
+fn crossing_len(conds: &[Crossing<'_>], x: VertexId) -> u32 {
+    conds
+        .iter()
+        .filter_map(|&(dh1, _, onward)| match onward.get(x) {
+            UNREACHED => None,
+            dx => Some(dh1 + dx),
+        })
+        .min()
+        .unwrap_or(UNREACHED)
+}
+
+/// Grows hub side `(hub, direction)`'s affected region into `region`,
+/// sorted on return: the vertices `x` whose shortest crossing walk is no
+/// longer than the label distance `d_L` between the hub and `x` (see the
+/// [module docs](self)). Growth starts at the deleted edges' far
+/// endpoints (`b_i` forward, `a_o` backward) and follows the post-window
+/// graph through admitted vertices of any rank, along the edges that
+/// extend a shortest crossing walk by one: every vertex of the region a
+/// crossing shortest path reaches lies on such a chain from the far end
+/// of the last deleted edge the path crosses. Returns `false`, unfinished,
+/// once the region would hold more than `budget` vertices.
+#[allow(clippy::too_many_arguments)]
+fn grow_region(
+    graph: &DiGraph,
+    labels: &Labels,
+    state: &mut SearchState,
+    cache: &mut HubCache,
+    conds: &[Crossing<'_>],
+    direction: Direction,
+    hub: VertexId,
+    rank: u32,
+    budget: usize,
+    region: &mut Vec<u32>,
+) -> bool {
+    let (own_side, side) = direction.sides();
+    fill_hub_cache(labels, cache, hub, rank, own_side);
+    // `x` is admitted unless a label route is strictly shorter than its
+    // shortest crossing walk `cross`; the scan stops at the first such
+    // route (the same prefix `covered_dist` scans).
+    let admit = |x: VertexId, cross: u32| {
+        !labels
+            .side_of(x, side)
+            .iter()
+            .take_while(|e| e.hub_rank() <= rank)
+            .any(|e| {
+                cache
+                    .get(e.hub_rank())
+                    .is_some_and(|(dh, _)| dh + e.dist() < cross)
+            })
+    };
+    // `state` marks every tested vertex, holding its crossing length;
+    // admitted ones go to `region`, which doubles as the FIFO.
+    state.reset();
+    region.clear();
+    for &(_, start, _) in conds {
+        let cross = crossing_len(conds, start);
+        if cross != UNREACHED && !state.visited(start) {
+            state.visit(start, cross, 0);
+            if admit(start, cross) {
+                region.push(start.0);
+            }
+        }
+    }
+    let mut head = 0usize;
+    while head < region.len() {
+        if region.len() > budget {
+            return false;
+        }
+        let w = VertexId(region[head]);
+        head += 1;
+        let next = state.dist[w.index()] + 1;
+        let nbrs = match direction {
+            Direction::Forward => graph.nbr_out(w),
+            Direction::Backward => graph.nbr_in(w),
+        };
+        for &u in nbrs {
+            let u = VertexId(u);
+            if !state.visited(u) && crossing_len(conds, u) == next {
+                state.visit(u, next, 0);
+                if admit(u, next) {
+                    region.push(u.0);
+                }
+            }
+        }
+    }
+    if region.len() > budget {
+        return false;
+    }
+    region.sort_unstable();
+    true
+}
+
+/// One re-label hub side's work, prepared from the pre-window labels.
+struct SideRepair {
+    /// Phase B: the carriers whose entry is stale.
+    stale: Vec<u32>,
+    /// Phase C: the affected region, sorted, or `None` when no surviving
+    /// entry can seed it — then the side re-inserts nothing.
+    region: Option<Vec<u32>>,
+}
+
+/// Prepares hub side `(hub, direction)`: scans its carriers for stale
+/// entries and, unless `filter_seeds` finds no surviving entry that could
+/// seed the re-label, grows its region. Every Phase C seed crosses an edge
+/// from a surviving carrier `p` to a region vertex `q` below the hub, and
+/// since `q` lies on a crossing shortest path, its crossing length is at
+/// most `d_p + 1`; the filter looks for such an edge. Returns `None` when
+/// the region overran `budget`.
+#[allow(clippy::too_many_arguments)]
+fn prepare_side(
+    graph: &DiGraph,
+    ranks: &RankTable,
+    labels: &Labels,
+    inverted: &Option<InvertedIndex>,
+    state: &mut SearchState,
+    cache: &mut HubCache,
+    views: &[EdgeSweeps<'_>],
+    direction: Direction,
+    hub: VertexId,
+    rank: u32,
+    filter_seeds: bool,
+    budget: usize,
+    report: &mut UpdateReport,
+) -> Option<SideRepair> {
+    let (_, side) = direction.sides();
+    let conds = crossings(views, side, hub);
+    let mut work = SideRepair {
+        stale: Vec::new(),
+        region: None,
+    };
+    if conds.is_empty() {
+        return Some(work);
+    }
+    let mut seeded = !filter_seeds;
+    // No crossing walk is shorter than the nearest deleted edge's.
+    let nearest = conds
+        .iter()
+        .map(|&(dh1, _, _)| dh1)
+        .min()
+        .unwrap_or(UNREACHED);
+    let mut scan = |p: u32| {
+        let Some(e) = labels.entry_for(VertexId(p), side, rank) else {
+            return;
+        };
+        if crossing_len(&conds, VertexId(p)) <= e.dist() {
+            work.stale.push(p);
+        } else if !seeded && e.dist() + 1 >= nearest {
+            let onward = match direction {
+                Direction::Forward => graph.nbr_out(VertexId(p)),
+                Direction::Backward => graph.nbr_in(VertexId(p)),
+            };
+            seeded = onward.iter().any(|&q| {
+                ranks.rank(VertexId(q)) > rank && crossing_len(&conds, VertexId(q)) <= e.dist() + 1
+            });
+        }
+    };
+    match inverted {
+        Some(inv) => {
+            report.carriers_indexed += 1;
+            inv.carriers(side, rank).iter().for_each(|&p| scan(p));
+        }
+        None => {
+            report.carriers_scanned += 1;
+            (0..labels.vertex_count() as u32).for_each(scan);
+        }
+    }
+    if seeded {
+        let mut region = Vec::new();
+        if !grow_region(
+            graph,
+            labels,
+            state,
+            cache,
+            &conds,
+            direction,
+            hub,
+            rank,
+            budget,
+            &mut region,
+        ) {
+            return None;
+        }
+        work.region = Some(region);
+    }
+    Some(work)
 }
 
 impl CscIndex {
@@ -340,36 +595,83 @@ impl CscIndex {
                 }
             }
         }
-        let t_subtract = Instant::now();
-        report.classify_time += t_subtract - t_classify;
+        let t_region = Instant::now();
+        report.classify_time += t_region - t_classify;
 
-        // ---- Rebuild fallback for overwhelming windows. ------------------
-        // Each re-label side costs a full pruned BFS in upsert mode —
-        // several times the per-hub cost of the append-mode static build
-        // (binary-search writes against populated lists instead of pushes,
-        // live adjacency instead of a CSR snapshot). When a window demotes
-        // most of the index anyway, rebuilding every label from the
-        // current graph under the *existing* rank order is both cheaper
-        // and trivially exact (it is the ground truth the equivalence
-        // suites compare against); dominated leftovers vanish as a bonus.
-        let relabel_sides: usize = relabel
-            .values()
-            .map(|&(f, b)| usize::from(f) + usize::from(b))
-            .sum();
-        if relabel_sides * 100 > 2 * self.original_vertex_count() * REBUILD_FALLBACK_PERCENT {
-            let result = self.rebuild_after_window(report);
-            report.relabel_time += t_subtract.elapsed();
-            self.sweeps.release_all();
-            stats.hub_union += relabel_sides;
-            return result.map(|()| stats);
+        // ---- Re-label preparation, from the pre-window labels. -----------
+        // Per re-label hub side: its stale carriers (Phase B) and, when a
+        // surviving entry borders it, its affected region (Phase C). A
+        // window whose regions together exceed the budget rebuilds every
+        // label from the current graph under the *existing* rank order
+        // instead: exact by construction (it is the ground truth the
+        // equivalence suites compare against), and cheaper once the
+        // regions cover several copies of the graph. Dominated leftovers
+        // vanish as a bonus. Growth stops as soon as the budget runs out.
+        let budget = REBUILD_FALLBACK_REGION_MULTIPLE * self.gb.graph().vertex_count();
+        // (rank, forward) -> work; ascending rank is descending importance.
+        let mut sides: BTreeMap<(u32, bool), SideRepair> = BTreeMap::new();
+        let mut region_total = 0usize;
+        let mut overflow = false;
+        {
+            let graph = self.gb.graph();
+            let (maps, _) = self.sweeps.split_mut();
+            let views = resolve_views(maps, removals, &pre, &post);
+            let (state, cache) = self.workspace.parts_mut();
+            // Sides with the fewest carriers first: a window bound for the
+            // fallback then overruns the budget before scanning the long
+            // carrier lists of the top hubs.
+            let mut order: Vec<(usize, u32, bool)> = Vec::new();
+            for (&rank, &(fwd, bwd)) in &relabel {
+                for (active, side) in [(fwd, LabelSide::In), (bwd, LabelSide::Out)] {
+                    if active {
+                        let carriers = self
+                            .inverted
+                            .as_ref()
+                            .map_or(0, |inv| inv.carriers(side, rank).len());
+                        order.push((carriers, rank, side == LabelSide::In));
+                    }
+                }
+            }
+            order.sort_unstable();
+            for &(_, rank, forward) in &order {
+                let direction = if forward {
+                    Direction::Forward
+                } else {
+                    Direction::Backward
+                };
+                let Some(work) = prepare_side(
+                    graph,
+                    &self.ranks,
+                    &self.labels,
+                    &self.inverted,
+                    state,
+                    cache,
+                    &views,
+                    direction,
+                    self.ranks.vertex_at_rank(rank),
+                    rank,
+                    true,
+                    budget - region_total,
+                    report,
+                ) else {
+                    overflow = true;
+                    break;
+                };
+                region_total += work.region.as_ref().map_or(0, Vec::len);
+                sides.insert((rank, forward), work);
+            }
         }
+        let mut region_time = t_region.elapsed();
+        if overflow {
+            return self.fall_back(report, region_time, stats, &relabel);
+        }
+        let t_subtract = Instant::now();
 
         let CscIndex {
             ref gb,
             ref ranks,
             ref mut labels,
             ref mut inverted,
-            ref config,
             ref mut workspace,
             ref mut sweeps,
             ..
@@ -380,6 +682,7 @@ impl CscIndex {
 
         // ---- Phase A: merged count-repair passes (may demote). -----------
         let (state, cache) = workspace.parts_mut();
+        let mut demoted_prep = Duration::ZERO;
         for (&rank, (fwd_seeds, bwd_seeds)) in &subtract {
             let vk = ranks.vertex_at_rank(rank);
             for (seeds, direction) in [
@@ -397,197 +700,160 @@ impl CscIndex {
                     graph, ranks, labels, inverted, state, cache, buckets, direction, rank, vk,
                     seeds, report,
                 );
-                if matches!(outcome, SubtractOutcome::Demote) {
-                    // Saturated counts: recompute this hub side from scratch.
+                if matches!(outcome, SubtractOutcome::Demote) && !overflow {
+                    // Saturated counts: re-label this hub side. The hubs
+                    // above it may already be repaired, which can only
+                    // lengthen label distances: the region grows into a
+                    // superset, which stays exact but voids the seed
+                    // pre-check, so the region is always grown.
+                    let t_prep = Instant::now();
+                    match prepare_side(
+                        graph,
+                        ranks,
+                        labels,
+                        inverted,
+                        state,
+                        cache,
+                        &views,
+                        direction,
+                        vk,
+                        rank,
+                        false,
+                        budget - region_total,
+                        report,
+                    ) {
+                        Some(work) => {
+                            region_total += work.region.as_ref().map_or(0, Vec::len);
+                            sides.insert((rank, direction == Direction::Forward), work);
+                        }
+                        None => overflow = true,
+                    }
                     let flags = relabel.entry(rank).or_default();
                     match direction {
                         Direction::Forward => flags.0 = true,
                         Direction::Backward => flags.1 = true,
                     }
+                    demoted_prep += t_prep.elapsed();
                 }
             }
         }
         let t_relabel = Instant::now();
-        report.subtract_time += t_relabel - t_subtract;
+        report.subtract_time += t_relabel - t_subtract - demoted_prep;
+        region_time += demoted_prep;
+        if overflow {
+            return self.fall_back(report, region_time, stats, &relabel);
+        }
+        report.affected_hubs += relabel.len();
+        stats.hub_union += sides.len();
 
         // ---- Phase B: superset deletion for re-label hubs. ----------------
-        // One carrier scan per (hub, side) for the whole window: an entry is
-        // stale iff its stored distance is at least a crossing-path length
-        // through *some* deleted edge, evaluated with pre-window distances.
-        // Equality is the paper's rule. A longer stored distance marks a
-        // dominated leftover of an earlier insertion (redundancy strategy):
-        // it was never canonical, but the path it counts may have crossed
-        // the deleted edge, and once the hub's distances grow it would
-        // undercut the true distance. Phase C restores every canonical
-        // entry either way.
-        let mut conds: Vec<(u32, &DistMap)> = Vec::new();
-        let mut stale: Vec<u32> = Vec::new();
-        for (&rank, &(fwd, bwd)) in &relabel {
-            let hub = ranks.vertex_at_rank(rank);
-            for side in [LabelSide::In, LabelSide::Out] {
-                let active = match side {
-                    LabelSide::In => fwd,
-                    LabelSide::Out => bwd,
-                };
-                if !active {
-                    continue;
+        // Every entry the preparation found stale goes: its stored distance
+        // is at least a crossing-path length through *some* deleted edge.
+        // Equality is the paper's rule, and it takes every entry inside the
+        // side's region. A longer stored distance marks a dominated
+        // leftover of an earlier insertion (redundancy strategy): it was
+        // never canonical, but the path it counts may have crossed the
+        // deleted edge, and once the hub's distances grow it would undercut
+        // the true distance. Phase C restores every canonical entry.
+        for (&(rank, forward), work) in &sides {
+            let side = if forward {
+                LabelSide::In
+            } else {
+                LabelSide::Out
+            };
+            for &x in &work.stale {
+                labels.remove(VertexId(x), side, rank);
+                if let Some(inv) = inverted {
+                    inv.remove(side, rank, VertexId(x));
                 }
-                conds.clear();
-                for ev in &views {
-                    // In-side entries at x are stale when
-                    // sd(hub, a_o) + 1 + sd(b_i, x) == dist; out-side when
-                    // sd(x, a_o) + 1 + sd(b_i, hub) == dist.
-                    let (dh, per_carrier) = match side {
-                        LabelSide::In => (ev.to_ao.get(hub), ev.from_bi),
-                        LabelSide::Out => (ev.from_bi.get(hub), ev.to_ao),
-                    };
-                    if dh != UNREACHED {
-                        conds.push((dh + 1, per_carrier));
-                    }
-                }
-                if conds.is_empty() {
-                    continue;
-                }
-                stale.clear();
-                let matches_cond = |labels: &csc_labeling::Labels, x: VertexId| {
-                    let Some(e) = labels.entry_for(x, side, rank) else {
-                        return false;
-                    };
-                    conds.iter().any(|&(dh1, m)| {
-                        let dx = m.get(x);
-                        dx != UNREACHED && dh1 + dx <= e.dist()
-                    })
-                };
-                match inverted {
-                    Some(inv) => {
-                        report.carriers_indexed += 1;
-                        for &x in inv.carriers(side, rank) {
-                            if matches_cond(labels, VertexId(x)) {
-                                stale.push(x);
-                            }
-                        }
-                    }
-                    None => {
-                        report.carriers_scanned += 1;
-                        for x in 0..labels.vertex_count() as u32 {
-                            if matches_cond(labels, VertexId(x)) {
-                                stale.push(x);
-                            }
-                        }
-                    }
-                }
-                for &x in &stale {
-                    labels.remove(VertexId(x), side, rank);
-                    if let Some(inv) = inverted {
-                        inv.remove(side, rank, VertexId(x));
-                    }
-                    report.entries_removed += 1;
-                }
+                report.entries_removed += 1;
             }
         }
 
-        // ---- Phase C: re-label in descending rank order, once per hub. ----
-        // With a parallelism width above one the sweeps run in waves:
-        // per-hub traversals are collected concurrently against the
-        // pre-wave labels, then committed in rank order with validation —
-        // exact because Phase B already removed every distance-stale
-        // entry, so the wave's upserts only add or count-refresh entries
-        // (coverage grows monotonically; see the collect/commit notes in
-        // `build.rs`). Upsert commits always validate, independent of the
-        // `deterministic` knob, to keep the sweep serial-exact.
-        let mut counters = crate::build::TraversalCounters::default();
-        let width = config.parallelism.width();
-        if width > 1 && relabel.len() > 1 {
-            let n = graph.vertex_count();
-            let hub_list: Vec<(u32, bool, bool)> =
-                relabel.iter().map(|(&r, &(f, b))| (r, f, b)).collect();
-            let pool: WorkspacePool<CoupleBfs> = WorkspacePool::new();
-            for wave in hub_list.chunks(width) {
-                let results = {
-                    let labels_view: &csc_labeling::Labels = labels;
-                    par_map_indexed(width, wave.len(), |i| {
-                        let (rank, fwd, bwd) = wave[i];
-                        let hub = ranks.vertex_at_rank(rank);
-                        let mut ws = pool.checkout_with(|| CoupleBfs::new(n));
-                        ws.ensure(n);
-                        let mut c = TraversalCounters::default();
-                        let groups_in =
-                            fwd.then(|| ws.collect_in(graph, ranks, labels_view, &mut c, hub));
-                        let groups_out =
-                            bwd.then(|| ws.collect_out(graph, ranks, labels_view, &mut c, hub));
-                        (groups_in, groups_out, c)
-                    })
+        // ---- Phase C: re-label each region, in descending rank order. -----
+        // Outside its region a hub's entries are already final, so every
+        // post-window hub-maximal shortest path into the region is seeded
+        // at its last vertex p outside: one seed (q, d_p + 1, c_p) per
+        // edge p -> q that enters the region below the hub. The pass never
+        // leaves the region. It never cleans: mid-window label distances
+        // are not final, so it runs as a redundancy-strategy pass (which
+        // also enables couple skipping) under either strategy. A hub's
+        // two sides write disjoint lists, so their order does not matter.
+        let mut seeds: Vec<Seed> = Vec::new();
+        for (&(rank, forward), work) in &sides {
+            let Some(region) = &work.region else {
+                continue;
+            };
+            let direction = if forward {
+                Direction::Forward
+            } else {
+                Direction::Backward
+            };
+            let (_, side) = direction.sides();
+            seeds.clear();
+            for &q in region {
+                let q = VertexId(q);
+                debug_assert!(labels.entry_for(q, side, rank).is_none());
+                if ranks.rank(q) <= rank {
+                    continue;
+                }
+                let entering = if forward {
+                    graph.nbr_in(q)
+                } else {
+                    graph.nbr_out(q)
                 };
-                for (&(rank, fwd, bwd), (groups_in, groups_out, c)) in wave.iter().zip(results) {
-                    let hub = ranks.vertex_at_rank(rank);
-                    report.affected_hubs += 1;
-                    stats.hub_union += usize::from(fwd) + usize::from(bwd);
-                    counters.merge(&c);
-                    let (_, cache) = workspace.parts_mut();
-                    if let Some(groups) = groups_in {
-                        CoupleBfs::commit_in(
-                            labels,
-                            inverted.as_mut(),
-                            &mut counters,
-                            WriteMode::Upsert,
-                            cache,
-                            hub,
-                            rank,
-                            &groups,
-                            true,
-                        )?;
-                    }
-                    let (_, cache) = workspace.parts_mut();
-                    if let Some(groups) = groups_out {
-                        CoupleBfs::commit_out(
-                            labels,
-                            inverted.as_mut(),
-                            &mut counters,
-                            WriteMode::Upsert,
-                            cache,
-                            hub,
-                            rank,
-                            &groups,
-                            true,
-                        )?;
+                for &p in entering {
+                    if region.binary_search(&p).is_err() {
+                        if let Some(e) = labels.entry_for(VertexId(p), side, rank) {
+                            seeds.push((q, e.dist() + 1, e.count()));
+                        }
                     }
                 }
             }
-        } else {
-            for (&rank, &(fwd, bwd)) in &relabel {
-                let hub = ranks.vertex_at_rank(rank);
-                report.affected_hubs += 1;
-                stats.hub_union += usize::from(fwd) + usize::from(bwd);
-                if fwd {
-                    workspace.run_in(
-                        graph,
-                        ranks,
-                        labels,
-                        inverted.as_mut(),
-                        &mut counters,
-                        hub,
-                        WriteMode::Upsert,
-                    )?;
-                }
-                if bwd {
-                    workspace.run_out(
-                        graph,
-                        ranks,
-                        labels,
-                        inverted.as_mut(),
-                        &mut counters,
-                        hub,
-                        WriteMode::Upsert,
-                    )?;
-                }
+            if seeds.is_empty() {
+                continue;
             }
+            multi_source_pass(
+                graph,
+                ranks,
+                labels,
+                inverted,
+                state,
+                cache,
+                buckets,
+                UpdateStrategy::Redundancy,
+                direction,
+                rank,
+                ranks.vertex_at_rank(rank),
+                &seeds,
+                Some(region),
+                report,
+            )?;
         }
-        report.entries_inserted += counters.inserted;
-        report.entries_updated += counters.updated;
-        report.vertices_visited += counters.dequeues;
-        report.relabel_time += t_relabel.elapsed();
+        report.relabel_time += region_time + t_relabel.elapsed();
         self.sweeps.release_all();
         Ok(stats)
+    }
+
+    /// Takes the rebuild fallback for a window whose regions overran the
+    /// budget, charging the rebuild and the `region_time` spent growing
+    /// regions to the re-label phase.
+    fn fall_back(
+        &mut self,
+        report: &mut UpdateReport,
+        region_time: Duration,
+        mut stats: DeletionRepairStats,
+        relabel: &BTreeMap<u32, (bool, bool)>,
+    ) -> Result<DeletionRepairStats, LabelingError> {
+        let t_rebuild = Instant::now();
+        let result = self.rebuild_after_window(report);
+        report.relabel_time += region_time + t_rebuild.elapsed();
+        self.sweeps.release_all();
+        stats.hub_union += relabel
+            .values()
+            .map(|&(f, b)| usize::from(f) + usize::from(b))
+            .sum::<usize>();
+        result.map(|()| stats)
     }
 
     /// The overwhelming-window fallback: rebuilds every label from the
@@ -842,6 +1108,31 @@ mod tests {
         }
         assert_eq!(scalar.query(VertexId(11)), None);
         assert_eq!(batched.query(VertexId(12)), None);
+    }
+
+    #[test]
+    fn relabel_stays_inside_the_affected_region() {
+        // Vertex 0 sits on 64 two-cycles, so it ranks first and its
+        // search space is the whole graph. Deleting (65, 66) lengthens its
+        // paths only to the tail 66 -> 67 -> 68 (the bypass
+        // 0 -> 69 -> 70 -> 66 keeps the tail one hop further away), and
+        // the cycle 0 -> 65 -> 66 -> 67 -> 68 -> 0 grows from 5 to 6 hops.
+        let mut edges: Vec<(u32, u32)> = (1..=64).flat_map(|i| [(0, i), (i, 0)]).collect();
+        edges.extend([(0, 65), (65, 66), (66, 67), (67, 68), (68, 0)]);
+        edges.extend([(0, 69), (69, 70), (70, 66)]);
+        let mut g = DiGraph::from_edges(71, edges);
+        let mut idx = CscIndex::build(&g, CscConfig::default()).unwrap();
+        assert_eq!(idx.query(VertexId(67)).unwrap().length, 5);
+        let report = idx.remove_edge(VertexId(65), VertexId(66)).unwrap();
+        g.try_remove_edge(VertexId(65), VertexId(66)).unwrap();
+        assert_queries_match(&idx, &g, "after the tail deletion");
+        assert_eq!(idx.query(VertexId(67)).unwrap().length, 6);
+        assert_eq!(report.rebuild_fallbacks, 0);
+        assert!(
+            report.vertices_visited <= 16,
+            "the re-label walked {} vertices; a whole-cone sweep of vertex 0 walks every one",
+            report.vertices_visited
+        );
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!   path decomposes as an *old* shortest prefix to the first inserted
 //!   edge it crosses (covered by that edge's pre-batch seed entry) plus a
 //!   suffix in the updated graph, which the traversal walks because all
-//!   batch edges are already present;
+//!   batch edges are already present. The same pass, confined to a
+//!   region and seeded across its boundary, re-inserts a demoted hub's
+//!   entries after a deletion window;
 //! * [`multi_source_subtract`] — the decremental mirror: one pass per
 //!   count-repair hub subtracts every shortest path a whole *deletion*
 //!   window removed, via the dual last-old-edge decomposition (see its
@@ -35,6 +37,7 @@ use crate::clean::clean_label;
 use crate::config::UpdateStrategy;
 use crate::invert::InvertedIndex;
 use crate::stats::UpdateReport;
+use csc_graph::bipartite::{couple, is_in_vertex};
 use csc_graph::{BucketQueue, DiGraph, RankTable, VertexId};
 use csc_labeling::{
     HubCache, LabelEntry, LabelSide, LabelingError, Labels, SearchState, INF, MAX_COUNT,
@@ -191,6 +194,7 @@ pub(crate) fn maintenance_pass(
         vk_rank,
         vk,
         &[(start, seed_dist, seed_count)],
+        None,
         report,
     )
 }
@@ -213,6 +217,17 @@ pub(crate) type Seed = (VertexId, u32, u64);
 ///   relaxed downward (its seeded path class is not shortest and counts
 ///   for nothing), the only downward relaxation possible — non-seed
 ///   vertices are discovered in final-distance order, exactly as in BFS.
+///
+/// Under [`UpdateStrategy::Redundancy`] the walk skips couples as the
+/// static build does (see [`skippable_couple`]); under
+/// [`UpdateStrategy::Minimality`] it cleans after every improving write
+/// and keeps the plain walk, since a cleaning between a vertex and its
+/// couple could change what the couple's own prune scan would see.
+///
+/// With a `region` (sorted vertex ids) the traversal never enters a
+/// vertex outside it: the decremental re-label (`csc-core::delete`)
+/// recomputes a hub's entries inside its affected region only, seeded
+/// across the region's boundary.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn multi_source_pass(
     graph: &DiGraph,
@@ -227,12 +242,14 @@ pub(crate) fn multi_source_pass(
     vk_rank: u32,
     vk: VertexId,
     seeds: &[Seed],
+    region: Option<&[u32]>,
     report: &mut UpdateReport,
 ) -> Result<(), LabelingError> {
     debug_assert!(!seeds.is_empty());
     let (own_side, target_side) = direction.sides();
     fill_hub_cache(labels, cache, vk, vk_rank, own_side);
     let base = seed_buckets(state, buckets, seeds);
+    let minimality = strategy == UpdateStrategy::Minimality;
 
     let mut level = 0usize;
     while level < buckets.depth() {
@@ -262,36 +279,107 @@ pub(crate) fn multi_source_pass(
                 cw,
                 report,
             )?;
-            if improved && strategy == UpdateStrategy::Minimality {
-                let inv = inverted
-                    .as_mut()
-                    .expect("minimality requires inverted indexes");
-                clean_label(labels, inv, ranks, w, target_side, report);
-            }
-
-            let nbrs = match direction {
-                Direction::Forward => graph.nbr_out(w),
-                Direction::Backward => graph.nbr_in(w),
-            };
-            for &u in nbrs {
-                let u = VertexId(u);
-                if !state.visited(u) {
-                    if vk_rank < ranks.rank(u) {
-                        state.visit(u, dw + 1, cw);
-                        buckets.push((dw + 1 - base) as usize, u.0);
-                    }
-                } else if state.dist[u.index()] == dw + 1 {
-                    state.accumulate(u, cw);
-                } else if state.dist[u.index()] > dw + 1 {
-                    // Only deeper-seeded vertices can be relaxed downward.
-                    state.relax(u, dw + 1, cw);
-                    buckets.push((dw + 1 - base) as usize, u.0);
+            let mut from = (w, dw);
+            if minimality {
+                if improved {
+                    let inv = inverted
+                        .as_mut()
+                        .expect("minimality requires inverted indexes");
+                    clean_label(labels, inv, ranks, w, target_side, report);
                 }
+            } else if let Some(c) = skippable_couple(ranks, state, direction, vk_rank, region, w) {
+                state.visit(c, dw + 1, cw);
+                report.vertices_visited += 1;
+                update_label(
+                    labels,
+                    inverted,
+                    c,
+                    target_side,
+                    vk,
+                    vk_rank,
+                    dw + 1,
+                    cw,
+                    report,
+                )?;
+                from = (c, dw + 1);
             }
+            expand(
+                graph, ranks, state, buckets, base, direction, vk_rank, region, from.0, from.1, cw,
+            );
         }
         level += 1;
     }
     Ok(())
+}
+
+/// `true` when `v` lies inside `region` (sorted ids; `None` admits all).
+#[inline]
+fn admits(region: Option<&[u32]>, v: VertexId) -> bool {
+    region.is_none_or(|r| r.binary_search(&v.0).is_ok())
+}
+
+/// Couple skipping, the static build's `run_in`/`run_out` step: on the
+/// walked side (`V_in` forward, `V_out` backward) a vertex `w` is its
+/// couple's only neighbor against the walk direction, so the couple sits
+/// at `dw + 1` with `w`'s count and is settled right after `w` instead of
+/// being queued and prune-scanned on its own. Returns the couple when it
+/// qualifies: ranked below the pass hub (backward, that excludes the hub
+/// itself, where a cycle closes), not yet visited (a seed is left to its
+/// own bucket), and inside `region`.
+#[inline]
+fn skippable_couple(
+    ranks: &RankTable,
+    state: &SearchState,
+    direction: Direction,
+    vk_rank: u32,
+    region: Option<&[u32]>,
+    w: VertexId,
+) -> Option<VertexId> {
+    if is_in_vertex(w) != (direction == Direction::Forward) {
+        return None;
+    }
+    let c = couple(w);
+    (vk_rank < ranks.rank(c) && !state.visited(c) && admits(region, c)).then_some(c)
+}
+
+/// Queues the traversal successors of `w`, settled at `dw` with `cw`
+/// hub-maximal paths: a new vertex ranked below the pass hub (and inside
+/// `region`) is discovered at `dw + 1`, a visited one accumulates at equal
+/// distance or, when seeded deeper, is relaxed downward.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn expand(
+    graph: &DiGraph,
+    ranks: &RankTable,
+    state: &mut SearchState,
+    buckets: &mut BucketQueue,
+    base: u32,
+    direction: Direction,
+    vk_rank: u32,
+    region: Option<&[u32]>,
+    w: VertexId,
+    dw: u32,
+    cw: u64,
+) {
+    let nbrs = match direction {
+        Direction::Forward => graph.nbr_out(w),
+        Direction::Backward => graph.nbr_in(w),
+    };
+    for &u in nbrs {
+        let u = VertexId(u);
+        if !state.visited(u) {
+            if vk_rank < ranks.rank(u) && admits(region, u) {
+                state.visit(u, dw + 1, cw);
+                buckets.push((dw + 1 - base) as usize, u.0);
+            }
+        } else if state.dist[u.index()] == dw + 1 {
+            state.accumulate(u, cw);
+        } else if state.dist[u.index()] > dw + 1 {
+            // Only deeper-seeded vertices can be relaxed downward.
+            state.relax(u, dw + 1, cw);
+            buckets.push((dw + 1 - base) as usize, u.0);
+        }
+    }
 }
 
 /// One buffered visit of [`multi_source_collect`]: the vertex, its
@@ -317,7 +405,10 @@ pub(crate) type RepairVisit = (VertexId, u32, u64);
 /// with it, so the surviving writes — distances *and* counts — are the
 /// sequential ones. (Not valid under [`UpdateStrategy::Minimality`],
 /// whose cleaning *removes* entries mid-pass; the batch engine falls back
-/// to the direct pass there.)
+/// to the direct pass there.) Couples are skipped as in the direct
+/// redundancy-strategy pass and buffered right after their partner; the
+/// commit's prune scan of a couple agrees with its partner's, since every
+/// hub-maximal path into the couple runs through the partner.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn multi_source_collect(
     graph: &DiGraph,
@@ -355,25 +446,16 @@ pub(crate) fn multi_source_collect(
                 continue;
             }
             visits.push((w, dw, cw));
-
-            let nbrs = match direction {
-                Direction::Forward => graph.nbr_out(w),
-                Direction::Backward => graph.nbr_in(w),
-            };
-            for &u in nbrs {
-                let u = VertexId(u);
-                if !state.visited(u) {
-                    if vk_rank < ranks.rank(u) {
-                        state.visit(u, dw + 1, cw);
-                        buckets.push((dw + 1 - base) as usize, u.0);
-                    }
-                } else if state.dist[u.index()] == dw + 1 {
-                    state.accumulate(u, cw);
-                } else if state.dist[u.index()] > dw + 1 {
-                    state.relax(u, dw + 1, cw);
-                    buckets.push((dw + 1 - base) as usize, u.0);
-                }
+            let mut from = (w, dw);
+            if let Some(c) = skippable_couple(ranks, state, direction, vk_rank, None, w) {
+                state.visit(c, dw + 1, cw);
+                *visited += 1;
+                visits.push((c, dw + 1, cw));
+                from = (c, dw + 1);
             }
+            expand(
+                graph, ranks, state, buckets, base, direction, vk_rank, None, from.0, from.1, cw,
+            );
         }
         level += 1;
     }
@@ -466,7 +548,8 @@ pub(crate) enum SubtractOutcome {
 /// Only applicable to hubs whose distances survived the window (the
 /// count-repair regime): every reached entry is decremented where its
 /// stored distance matches the traversal's, removed when the count hits
-/// zero. Edits are buffered and applied only when the whole merged cone
+/// zero. Couples are skipped as in [`multi_source_pass`]: with distances
+/// unchanged the couple's entry sits one hop past its partner's. Edits are buffered and applied only when the whole merged cone
 /// is saturation-free; otherwise nothing is written and
 /// [`SubtractOutcome::Demote`] tells the caller to re-label instead.
 #[allow(clippy::too_many_arguments)]
@@ -514,34 +597,29 @@ pub(crate) fn multi_source_subtract(
                 continue;
             }
 
-            if let Some(e) = labels.entry_for(w, target_side, vk_rank) {
-                if e.dist() == dw {
-                    if e.count_saturated() {
-                        return SubtractOutcome::Demote;
+            let couple = skippable_couple(ranks, state, direction, vk_rank, None, w);
+            if let Some(c) = couple {
+                state.visit(c, dw + 1, cw);
+                report.vertices_visited += 1;
+            }
+            let from = couple.map_or((w, dw), |c| (c, dw + 1));
+            for (x, dx) in std::iter::once((w, dw)).chain(couple.map(|_| from)) {
+                if let Some(e) = labels.entry_for(x, target_side, vk_rank) {
+                    if e.dist() == dx {
+                        if e.count_saturated() {
+                            return SubtractOutcome::Demote;
+                        }
+                        edits.push((x, e.count().saturating_sub(cw)));
                     }
-                    edits.push((w, e.count().saturating_sub(cw)));
                 }
             }
-
-            let nbrs = match direction {
-                Direction::Forward => graph.nbr_out(w),
-                Direction::Backward => graph.nbr_in(w),
-            };
-            for &u in nbrs {
-                let u = VertexId(u);
-                if !state.visited(u) {
-                    if vk_rank < ranks.rank(u) {
-                        state.visit(u, dw + 1, cw);
-                        buckets.push((dw + 1 - base) as usize, u.0);
-                    }
-                } else if state.dist[u.index()] == dw + 1 {
-                    state.accumulate(u, cw);
-                }
-                // dist[u] < dw + 1: the class through w is not shortest at
-                // u; its counts were already excluded there. dist[u] >
-                // dw + 1 cannot happen — subtraction seeds sit at exact
-                // pre-window distances, so no downward relaxation exists.
-            }
+            // A visited successor at a smaller distance already excludes
+            // the class through `from`; a larger one cannot occur —
+            // subtraction seeds sit at exact pre-window distances, so
+            // `expand` never relaxes here.
+            expand(
+                graph, ranks, state, buckets, base, direction, vk_rank, None, from.0, from.1, cw,
+            );
         }
         level += 1;
     }

@@ -41,8 +41,9 @@ pub struct UpdateReport {
     pub classify_time: Duration,
     /// Deletion repair: time in the merged count-subtraction passes.
     pub subtract_time: Duration,
-    /// Deletion repair: time in the re-label regime (superset deletion +
-    /// upsert BFS sweeps) — historically the dominant share.
+    /// Deletion repair: time in the re-label regime (region growth,
+    /// superset deletion and the region passes, or the rebuild fallback)
+    /// — the dominant share.
     pub relabel_time: Duration,
     /// Affected-hub carrier lookups served by the inverted index.
     pub carriers_indexed: usize,
@@ -50,10 +51,10 @@ pub struct UpdateReport {
     /// batched deletion path keeps this at zero by building the inverted
     /// index on demand).
     pub carriers_scanned: usize,
-    /// Deletion windows that demoted so much of the index that repairing
+    /// Deletion windows whose affected regions grew so large that repairing
     /// fell back to a from-scratch label rebuild under the existing rank
-    /// order (exact by construction, and cheaper than sweeping most hubs
-    /// in upsert mode).
+    /// order (exact by construction, and cheaper than re-labeling regions
+    /// that cover the graph several times over).
     pub rebuild_fallbacks: usize,
 }
 

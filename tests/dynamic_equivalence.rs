@@ -3,11 +3,14 @@
 //! answer exactly like an index built from scratch on the final graph —
 //! and like the BFS oracle — under both update strategies.
 
+use csc::graph::bipartite::in_vertex;
 use csc::graph::generators;
-use csc::graph::traversal::shortest_cycle_oracle;
-use csc::index::verify::verify_index;
+use csc::graph::traversal::{shortest_cycle_oracle, sp_count_pair};
+use csc::index::verify::{check_integrity, verify_index};
+use csc::labeling::MAX_COUNT;
 use csc::prelude::*;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// A scripted update: insert or delete, with index-driven operand choice.
 #[derive(Clone, Debug)]
@@ -85,8 +88,90 @@ fn shortest_path(g: &DiGraph, from: VertexId, to: VertexId) -> Option<Vec<(Verte
     None
 }
 
+/// Checks every `V_in`-sourced pair of the bipartite index against the BFS
+/// oracle: `dist_count(s_i, t_i)` is `SPCnt(s, t)` with the distance
+/// doubled (each original hop is an edge plus a couple edge), counts
+/// compared up to the 24-bit ceiling. `V_out`-sourced pairs are left out:
+/// the couple-skipped index does not cover a pair whose highest-ranked
+/// vertex is its `V_out` source. The inverted index must still mirror the
+/// labels.
+fn assert_pairs_exact(index: &CscIndex, g: &DiGraph, context: &str) -> Result<(), TestCaseError> {
+    for s in g.vertices() {
+        for t in g.vertices().filter(|&t| t != s) {
+            let got = index
+                .labels()
+                .dist_count(in_vertex(s), in_vertex(t))
+                .map(|dc| (dc.dist, dc.count.min(MAX_COUNT)));
+            let want = sp_count_pair(g, s, t).map(|(d, c)| (2 * d, c.min(MAX_COUNT)));
+            prop_assert_eq!(got, want, "{}: pair ({}, {})", context, s, t);
+        }
+    }
+    let integrity = check_integrity(index);
+    prop_assert!(integrity.is_ok(), "{}: {:?}", context, integrity);
+    Ok(())
+}
+
+/// Removes a window of up to `size` distinct edges of `g`, picked from
+/// `seed`, from both `g` and `index`: a lone edge through the scalar
+/// `remove_edge` when `scalar` is set, otherwise one `apply_batch`.
+fn delete_window(g: &mut DiGraph, index: &mut CscIndex, size: usize, seed: u64, scalar: bool) {
+    let mut edges = g.edge_vec();
+    let mut window = Vec::new();
+    let mut s = seed;
+    while window.len() < size && !edges.is_empty() {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let (u, w) = edges.swap_remove((s >> 11) as usize % edges.len());
+        window.push((VertexId(u), VertexId(w)));
+    }
+    for &(u, w) in &window {
+        g.try_remove_edge(u, w).unwrap();
+    }
+    if scalar && window.len() == 1 {
+        let (u, w) = window[0];
+        index.remove_edge(u, w).unwrap();
+    } else {
+        let updates: Vec<_> = window
+            .iter()
+            .map(|&(u, w)| GraphUpdate::RemoveEdge(u, w))
+            .collect();
+        index.apply_batch(&updates).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn deletion_windows_keep_every_in_pair_exact(
+        n in 5usize..13,
+        m_seed in any::<u64>(),
+        windows in proptest::collection::vec(
+            (proptest::collection::vec(any::<u64>(), 0..3), 1usize..4, any::<u64>(), any::<bool>()),
+            1..5,
+        ),
+        minimality in any::<bool>(),
+    ) {
+        // Each window of one to three deletions may follow insertions,
+        // which leave dominated entries behind under the redundancy
+        // strategy; the re-label must restore every pair count, not only
+        // the cycle queries.
+        let m = n + (m_seed as usize) % (2 * n + 1);
+        let mut g = generators::gnm(n, m, m_seed);
+        let strategy = if minimality {
+            UpdateStrategy::Minimality
+        } else {
+            UpdateStrategy::Redundancy
+        };
+        let config = CscConfig::default().with_update_strategy(strategy);
+        let mut index = CscIndex::build(&g, config).unwrap();
+        assert_pairs_exact(&index, &g, "build")?;
+        for (k, (inserts, size, seed, scalar)) in windows.into_iter().enumerate() {
+            let ops: Vec<Op> = inserts.into_iter().map(Op::Insert).collect();
+            apply_ops(&mut g, &mut index, &ops);
+            delete_window(&mut g, &mut index, size, seed, scalar);
+            assert_pairs_exact(&index, &g, &format!("window {k}"))?;
+        }
+    }
 
     #[test]
     fn maintained_index_equals_rebuild(
@@ -281,6 +366,23 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Deletion windows on a graph whose shortest-path counts overflow the
+/// 24-bit ceiling: saturated counts demote count repair to the re-label,
+/// which must keep every pair exact up to the ceiling.
+#[test]
+fn saturated_deletion_windows_keep_every_in_pair_exact() {
+    let mut g = generators::layered_cycle(&[2; 27]);
+    let mut index = CscIndex::build(&g, CscConfig::default()).unwrap();
+    assert!(index.query(VertexId(0)).unwrap().count >= MAX_COUNT);
+    for (k, (size, seed, scalar)) in [(1, 3, true), (2, 11, false), (1, 29, false)]
+        .into_iter()
+        .enumerate()
+    {
+        delete_window(&mut g, &mut index, size, seed, scalar);
+        assert_pairs_exact(&index, &g, &format!("window {k}")).unwrap();
     }
 }
 
